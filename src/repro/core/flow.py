@@ -109,16 +109,17 @@ class NormalizingFlow(Module):
         self._rng = spawn_rng(seed)
 
     # ------------------------------------------------------------------
-    def _sample_eps(self, batch: int, deterministic: bool) -> Tensor:
-        if deterministic:
-            return Tensor(np.zeros((batch, self.latent_dim)))
-        return Tensor(self._rng.normal(size=(batch, self.latent_dim)))
+    @property
+    def _draws(self) -> int:
+        """eps draws one forward takes: 'z_d' draws again for its own head."""
+        return 2 if self.mode == "z_d" else 1
 
-    def latent_chain(self, h_enc: Tensor, h_dec: Tensor, deterministic: bool = False) -> List[Tensor]:
-        """Return [z_e, z_0, z_1, ..., z_T] for inspection/ablation."""
-        eps = self._sample_eps(h_enc.shape[0], deterministic)
+    def _eps(self, shape: Tuple[int, ...], deterministic: bool) -> np.ndarray:
+        return np.zeros(shape) if deterministic else self._rng.normal(size=shape)
+
+    def _chain(self, h_enc: Tensor, h_dec: Tensor, eps: np.ndarray) -> List[Tensor]:
         mu_e, sigma_e = self.encoder_head(h_enc)
-        z_e = mu_e + sigma_e * eps  # Eq. (15)
+        z_e = mu_e + sigma_e * Tensor(eps)  # Eq. (15)
         mu_d, sigma_d = self.decoder_head(h_dec)
         z = mu_d + sigma_d * z_e  # Eq. (16)
         chain = [z_e, z]
@@ -129,9 +130,14 @@ class NormalizingFlow(Module):
             chain.append(z)
         return chain
 
-    def forward(self, h_enc: Tensor, h_dec: Tensor, deterministic: bool = False) -> Tensor:
-        """Generate the target series (B, pred_len, c_out) from hidden states."""
-        chain = self.latent_chain(h_enc, h_dec, deterministic=deterministic)
+    def latent_chain(self, h_enc: Tensor, h_dec: Tensor, deterministic: bool = False) -> List[Tensor]:
+        """Return [z_e, z_0, z_1, ..., z_T] for inspection/ablation."""
+        return self._chain(h_enc, h_dec, self._eps((h_enc.shape[0], self.latent_dim), deterministic))
+
+    def _generate(self, h_enc: Tensor, h_dec: Tensor, eps: np.ndarray) -> Tensor:
+        """The mode's forecast (N, pred_len, c_out) for explicit noise
+        ``eps`` of shape (draws, N, latent_dim)."""
+        chain = self._chain(h_enc, h_dec, eps[0])
         if self.mode == "flow":
             z = chain[-1]
         elif self.mode == "z_e":
@@ -139,38 +145,47 @@ class NormalizingFlow(Module):
         elif self.mode == "z_0":
             z = chain[1]
         else:  # 'z_d': Gaussian re-parameterization of the decoder state alone
-            eps = self._sample_eps(h_dec.shape[0], deterministic)
             mu_d, sigma_d = self.decoder_head(h_dec)
-            z = mu_d + sigma_d * eps
-        batch = z.shape[0]
-        return self.projection(z).reshape(batch, self.pred_len, self.c_out)
+            z = mu_d + sigma_d * Tensor(eps[1])
+        return self.projection(z).reshape(z.shape[0], self.pred_len, self.c_out)
+
+    def forward(self, h_enc: Tensor, h_dec: Tensor, deterministic: bool = False) -> Tensor:
+        """Generate the target series (B, pred_len, c_out) from hidden states."""
+        eps = self._eps((self._draws, h_enc.shape[0], self.latent_dim), deterministic)
+        return self._generate(h_enc, h_dec, eps)
 
     def sample(
         self, h_enc: Tensor, h_dec: Tensor, n_samples: int = 100, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Draw ``n_samples`` stochastic forecasts: (S, B, pred_len, c_out).
 
+        Only eps differs between draws, so h_e and h_d are tiled to
+        (S*B, d) and all draws run through the heads in one pass.  eps is
+        one (S, draws, B, k) block: the same stream, in the same order, as
+        S calls of ``forward(deterministic=False)`` would take.
+
         ``out`` (same shape) receives the draws in place — callers doing
         repeated Monte-Carlo passes preallocate once instead of paying a
         fresh (S, B, L, C) stack per call.
         """
+        batch = h_enc.shape[0]
+        eps = self._rng.normal(size=(n_samples, self._draws, batch, self.latent_dim))
+        eps = eps.swapaxes(0, 1).reshape(self._draws, n_samples * batch, self.latent_dim)
+        draws = self._generate(_tile(h_enc, n_samples), _tile(h_dec, n_samples), eps).data
+        draws = draws.reshape((n_samples, batch, self.pred_len, self.c_out))
         if out is None:
-            first = self.forward(h_enc, h_dec, deterministic=False).data
-            out = np.empty((n_samples,) + first.shape, dtype=first.dtype)
-            out[0] = first
-            start = 1
-        else:
-            start = 0
-        for s in range(start, n_samples):
-            out[s] = self.forward(h_enc, h_dec, deterministic=False).data
+            return draws
+        out[...] = draws
         return out
 
     # ------------------------------------------------------------------
     # NLL extension: an explicit Gaussian output distribution
     # ------------------------------------------------------------------
-    def _terminal_latent(self, h_enc: Tensor, h_dec: Tensor, deterministic: bool) -> Tensor:
-        chain = self.latent_chain(h_enc, h_dec, deterministic=deterministic)
-        return chain[-1]
+    def _distribution(self, z: Tensor) -> Tuple[Tensor, Tensor]:
+        batch = z.shape[0]
+        mu = self.projection(z).reshape(batch, self.pred_len, self.c_out)
+        sigma = F.softplus(self.scale_projection(z)).reshape(batch, self.pred_len, self.c_out) + 1e-4
+        return mu, sigma
 
     def output_distribution(
         self, h_enc: Tensor, h_dec: Tensor, deterministic: bool = True
@@ -181,11 +196,7 @@ class NormalizingFlow(Module):
         head lets the flow be trained by maximum likelihood instead, so the
         predicted sigma stays meaningful for uncertainty bands.
         """
-        z = self._terminal_latent(h_enc, h_dec, deterministic)
-        batch = z.shape[0]
-        mu = self.projection(z).reshape(batch, self.pred_len, self.c_out)
-        sigma = F.softplus(self.scale_projection(z)).reshape(batch, self.pred_len, self.c_out) + 1e-4
-        return mu, sigma
+        return self._distribution(self.latent_chain(h_enc, h_dec, deterministic=deterministic)[-1])
 
     def nll(self, h_enc: Tensor, h_dec: Tensor, target: Tensor, deterministic: bool = False) -> Tensor:
         """Gaussian negative log-likelihood of the target series."""
@@ -208,14 +219,26 @@ class NormalizingFlow(Module):
     ) -> np.ndarray:
         """Draws from the explicit output distribution (S, B, pred_len, c_out).
 
-        ``out`` works as in :meth:`sample`: a preallocated (S, B, L, C)
-        buffer receives every draw in place.
+        One tiled pass, as in :meth:`sample`.  Each draw takes a (B, k)
+        latent eps and then a (B, L, C) output eps; one flat normal block,
+        split per draw, keeps that interleaved stream.  ``out`` works as in
+        :meth:`sample`.
         """
-        for s in range(n_samples):
-            mu, sigma = self.output_distribution(h_enc, h_dec, deterministic=False)
-            eps = self._rng.normal(size=mu.shape)
-            if out is None:
-                out = np.empty((n_samples,) + tuple(mu.shape), dtype=mu.data.dtype)
-            np.multiply(sigma.data, eps, out=out[s])
-            out[s] += mu.data
+        batch = h_enc.shape[0]
+        shape = (n_samples, batch, self.pred_len, self.c_out)
+        latent = batch * self.latent_dim
+        noise = self._rng.normal(size=(n_samples, latent + batch * self.pred_len * self.c_out))
+        eps = noise[:, :latent].reshape(n_samples * batch, self.latent_dim)
+        z = self._chain(_tile(h_enc, n_samples), _tile(h_dec, n_samples), eps)[-1]
+        mu, sigma = self._distribution(z)
+        if out is None:
+            out = np.empty(shape, dtype=mu.data.dtype)
+        np.multiply(sigma.data.reshape(shape), noise[:, latent:].reshape(shape), out=out)
+        out += mu.data.reshape(shape)
         return out
+
+
+def _tile(h: Tensor, n_samples: int) -> Tensor:
+    """(B, d) -> (S*B, d): row s*B + b is h[b]."""
+    batch, width = h.shape
+    return h.broadcast_to((n_samples, batch, width)).reshape(n_samples * batch, width)

@@ -160,13 +160,8 @@ class Conformer(Module):
         self.eval()
         try:
             with inference_mode():
-                y_out, z_out = self.forward(
-                    _t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True
-                )
-            if z_out is None:
-                return y_out.data
-            lam = self.config.lambda_weight
-            return lam * y_out.data + (1.0 - lam) * z_out.data
+                outputs = self.forward(_t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True)
+            return self.point_forecast(outputs)
         finally:
             self.train(was_training)
 
@@ -181,9 +176,12 @@ class Conformer(Module):
     ) -> Dict[str, np.ndarray]:
         """Sample the flow head for uncertainty bands (Figs. 6-7).
 
-        Returns a dict with the deterministic 'point' forecast, the sample
-        'mean', and one array per requested quantile keyed ``"q0.05"`` etc.
+        Returns a dict with the deterministic 'point' forecast (what
+        :meth:`predict` returns), the sample 'mean', the blended 'samples'
+        and one array per requested quantile keyed ``"q0.05"`` etc.
         Samples blend decoder and flow heads with the lambda trade-off.
+        Every quantile comes from one sort of the samples and equals
+        ``np.quantile(samples, q, axis=0)``.
         """
         if self.flow is None:
             raise RuntimeError("uncertainty requires flow_mode != 'none'")
@@ -191,7 +189,7 @@ class Conformer(Module):
         self.eval()
         try:
             with inference_mode():
-                y_out, _ = self.forward(_t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True)
+                y_out, z_out = self.forward(_t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True)
                 h_enc, h_dec = self._flow_inputs
                 # one recycled (S, B, L, C) buffer receives every Monte-Carlo
                 # draw; only the blended result below is freshly allocated
@@ -207,16 +205,44 @@ class Conformer(Module):
                 # the block would be a use-after-release (the exact hazard
                 # a concurrent request reusing the slot turns into corrupt
                 # forecasts — the alias sanitizer flags it)
+                point = self.point_forecast((y_out, z_out))
                 lam = self.config.lambda_weight
                 blended = np.empty_like(z_samples)
                 np.multiply(z_samples, 1.0 - lam, out=blended)
                 blended += lam * y_out.data[None]
-            result = {"point": blended.mean(axis=0), "mean": blended.mean(axis=0), "samples": blended}
-            for q in quantiles:
-                result[f"q{q}"] = np.quantile(blended, q, axis=0)
+            result = {"point": point, "mean": blended.mean(axis=0), "samples": blended}
+            result.update(quantile_bands(blended, quantiles))
             return result
         finally:
             self.train(was_training)
+
+
+def quantile_bands(samples: np.ndarray, quantiles: Tuple[float, ...]) -> Dict[str, np.ndarray]:
+    """``{"q<q>": np.quantile(samples, q, axis=0)}`` for every q, from one sort.
+
+    Bit for bit what ``np.quantile`` (method "linear") returns for a
+    Python-float q, in the samples' dtype: numpy's own virtual index, its
+    clamp of the last index to -1, its two-sided lerp, and NaN for a slice
+    that holds a NaN sample.
+    """
+    ordered = np.sort(samples, axis=0)
+    poisoned = np.isnan(ordered[-1])
+    last = ordered.shape[0] - 1
+    bands = {}
+    for q in quantiles:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        virtual = last * float(q)
+        inside = virtual < last
+        lower = float(np.floor(virtual)) if inside else -1.0
+        a = ordered[int(lower)]
+        b = ordered[int(lower) + 1] if inside else a
+        t = virtual - lower
+        diff = b - a
+        band = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+        band[poisoned] = np.nan
+        bands[f"q{q}"] = band
+    return bands
 
 
 def _t(value) -> Tensor:

@@ -15,13 +15,17 @@ Cached arrays are frozen read-only (the plan-cache convention from
 accidental in-place write downstream must raise instead of corrupting
 every later hit.  All methods are thread-safe — cache lookups happen on
 submitting threads while worker threads fill entries.
+
+Two indexes, series -> keys and version -> keys, follow every insert,
+eviction and invalidation, so an invalidation costs the entries it drops
+rather than a scan of the whole cache.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,6 +41,8 @@ class ForecastCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
+        self._by_version: Dict[str, Set[CacheKey]] = {}
+        self._by_series: Dict[str, Set[CacheKey]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -67,9 +73,12 @@ class ForecastCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
+            else:
+                self._by_version.setdefault(key[0], set()).add(key)
+                self._by_series.setdefault(key[1], set()).add(key)
             self._entries[key] = frozen
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._drop(next(iter(self._entries)))
                 self.evictions += 1
         return frozen
 
@@ -78,22 +87,37 @@ class ForecastCache:
     # ------------------------------------------------------------------
     def invalidate_series(self, series_id: str) -> int:
         """Drop every horizon/version entry for one series (ingestion)."""
-        return self._invalidate(lambda key: key[1] == series_id)
+        return self._invalidate(self._by_series, series_id)
 
     def invalidate_version(self, version: str) -> int:
         """Drop every entry served by one model version (hot-swap)."""
-        return self._invalidate(lambda key: key[0] == version)
+        return self._invalidate(self._by_version, version)
 
     def clear(self) -> int:
-        return self._invalidate(lambda key: True)
-
-    def _invalidate(self, doomed) -> int:
         with self._lock:
-            keys = [key for key in self._entries if doomed(key)]
+            dropped = len(self._entries)
+            self._entries.clear()
+            self._by_version.clear()
+            self._by_series.clear()
+            self.invalidations += dropped
+            return dropped
+
+    def _invalidate(self, index: Dict[str, Set[CacheKey]], name: str) -> int:
+        with self._lock:
+            keys = list(index.get(name, ()))
             for key in keys:
-                del self._entries[key]
+                self._drop(key)
             self.invalidations += len(keys)
             return len(keys)
+
+    def _drop(self, key: CacheKey) -> None:
+        """Remove one entry and its index records; the lock is held."""
+        del self._entries[key]
+        for index, name in ((self._by_version, key[0]), (self._by_series, key[1])):
+            keys = index[name]
+            keys.discard(key)
+            if not keys:
+                del index[name]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -330,9 +330,10 @@ class TestInferenceInterplay:
         get_arena().clear()
 
     def test_mc_draws_reuse_arena_cleanly_under_guard(self):
-        """predict_with_uncertainty re-enters the kernels once per MC draw;
-        every call re-checks out the same (poisoned-on-release) slots and
-        must fully overwrite them — any read-before-write would surface as
+        """predict_with_uncertainty checks out the same (poisoned-on-release)
+        slots on every call — the forward's scan scratch and the one
+        Monte-Carlo sample buffer that the tiled flow pass fills — and
+        must fully overwrite them: any read-before-write would surface as
         NaN in the forecast, any stale handle as an AliasError."""
         model, batch = _conformer_and_batch(seed=4)
         x_enc, x_mark, x_dec, y_mark, _ = batch

@@ -1,5 +1,7 @@
 """Tests for the Conformer core: decomposition, input repr, SIRN, flow, model."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.core import (
     SIRNLayer,
     multivariate_correlation_weights,
 )
-from repro.tensor import Tensor
+from repro.core.flow import FLOW_MODES, _GaussianHead
+from repro.core.model import quantile_bands
+from repro.tensor import Tensor, compute_dtype
 
 RNG = np.random.default_rng(33)
 
@@ -41,6 +45,16 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ConformerConfig(**defaults)
+
+
+#: tiled Monte-Carlo draws against the per-draw loop: float64 differs only
+#: by BLAS kernel shape, float32 within the float32 fast-path tolerance
+SAMPLE_ATOL = {np.float64: 1e-12, np.float32: 1e-4}
+
+
+def sequential_samples(flow, h_e, h_d, n_samples):
+    """Reference for ``NormalizingFlow.sample``: one stochastic forward per draw."""
+    return np.stack([flow(h_e, h_d, deterministic=False).data for _ in range(n_samples)])
 
 
 def model_inputs(cfg, batch=2):
@@ -242,6 +256,25 @@ class TestNormalizingFlow:
         assert samples.shape == (7, 2, 5, 3)
         assert samples.std(axis=0).mean() > 0  # genuine spread
 
+    @pytest.mark.parametrize("n_samples, preallocate", [(1, False), (1, True), (7, False), (7, True)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", FLOW_MODES)
+    def test_tiled_sample_matches_sequential_forwards(self, mode, dtype, n_samples, preallocate):
+        """One tiled pass gives the draws of S stochastic forwards and leaves
+        the generator exactly where those S forwards leave it."""
+        with compute_dtype(dtype):
+            flow = self._flow(mode=mode).to_dtype(dtype)
+            reference = copy.deepcopy(flow)
+            h_e, h_d = Tensor(RNG.normal(size=(3, 8))), Tensor(RNG.normal(size=(3, 8)))
+            out = np.full((n_samples, 3, 5, 3), np.nan, dtype=dtype) if preallocate else None
+            samples = flow.sample(h_e, h_d, n_samples=n_samples, out=out)
+            expected = sequential_samples(reference, h_e, h_d, n_samples)
+        if preallocate:
+            assert samples is out
+        assert samples.dtype == dtype and samples.shape == expected.shape
+        np.testing.assert_allclose(samples, expected, rtol=0, atol=SAMPLE_ATOL[dtype])
+        assert flow._rng.bit_generator.state == reference._rng.bit_generator.state
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             self._flow(mode="vae")
@@ -321,6 +354,69 @@ class TestConformerModel:
         assert result["mean"].shape == (2, cfg.pred_len, cfg.c_out)
         assert result["samples"].shape == (11, 2, cfg.pred_len, cfg.c_out)
         assert np.all(result["q0.05"] <= result["q0.95"] + 1e-12)
+
+    @pytest.mark.parametrize("flow_loss", ["mse", "nll"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_point_is_the_deterministic_predict(self, dtype, flow_loss):
+        cfg = tiny_config(flow_loss=flow_loss)
+        model = Conformer(cfg).to_dtype(dtype)
+        inputs = [x.data.astype(dtype) for x in model_inputs(cfg)]
+        with compute_dtype(dtype):
+            point = model.predict_with_uncertainty(*inputs, n_samples=5)["point"]
+            expected = model.predict(*inputs)
+        assert point.dtype == expected.dtype == dtype
+        np.testing.assert_array_equal(point, expected)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 11, 50])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bands_equal_np_quantile(self, dtype, n_samples):
+        quantiles = (0.0, 0.05, 0.5, 0.95, 1.0)
+        cfg = tiny_config()
+        model = Conformer(cfg).to_dtype(dtype)
+        inputs = [x.data.astype(dtype) for x in model_inputs(cfg)]
+        with compute_dtype(dtype):
+            result = model.predict_with_uncertainty(*inputs, n_samples=n_samples, quantiles=quantiles)
+        for q in quantiles:
+            expected = np.quantile(result["samples"], q, axis=0)
+            assert result[f"q{q}"].dtype == expected.dtype == dtype
+            np.testing.assert_array_equal(result[f"q{q}"], expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_quantile_bands_handle_ties_and_nan_like_np_quantile(self, dtype):
+        quantiles = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+        samples = RNG.integers(-2, 3, size=(13, 4, 5)).astype(dtype)  # many ties
+        samples[RNG.integers(0, 13), 1, 2] = np.nan
+        samples[:, 3, :] = -0.0
+        bands = quantile_bands(samples, quantiles)
+        for q in quantiles:
+            expected = np.quantile(samples, q, axis=0)
+            assert bands[f"q{q}"].dtype == expected.dtype
+            np.testing.assert_array_equal(bands[f"q{q}"], expected)
+            np.testing.assert_array_equal(np.signbit(bands[f"q{q}"]), np.signbit(expected))
+        with pytest.raises(ValueError):
+            quantile_bands(samples, (1.5,))
+
+    @pytest.mark.parametrize("flow_loss", ["mse", "nll"])
+    def test_flow_head_passes_do_not_grow_with_n_samples(self, monkeypatch, flow_loss):
+        """Monte-Carlo draws share one tiled flow pass: the number of head
+        calls per prediction is the same for 4 draws as for 40."""
+        calls = []
+        head_forward = _GaussianHead.forward
+
+        def counting_forward(self, h):
+            calls.append(h.shape[0])
+            return head_forward(self, h)
+
+        monkeypatch.setattr(_GaussianHead, "forward", counting_forward)
+        cfg = tiny_config(flow_loss=flow_loss)
+        model = Conformer(cfg)
+        inputs = model_inputs(cfg)
+        counts = []
+        for n_samples in (4, 40):
+            calls.clear()
+            model.predict_with_uncertainty(*inputs, n_samples=n_samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_uncertainty_requires_flow(self):
         cfg = tiny_config(flow_mode="none")

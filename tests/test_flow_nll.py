@@ -1,11 +1,13 @@
 """Tests for the NLL flow-training extension (Gaussian output head)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import Conformer, ConformerConfig, NormalizingFlow
 from repro.optim import Adam
-from repro.tensor import Tensor
+from repro.tensor import Tensor, compute_dtype
 
 RNG = np.random.default_rng(77)
 
@@ -29,6 +31,19 @@ def nll_config(**overrides):
     )
     defaults.update(overrides)
     return ConformerConfig(**defaults)
+
+
+def sequential_distribution_samples(flow, h_e, h_d, n_samples):
+    """Reference for ``sample_distribution``: per draw, a stochastic latent
+    chain, then an output eps of the forecast's shape."""
+    draws = []
+    for _ in range(n_samples):
+        mu, sigma = flow.output_distribution(h_e, h_d, deterministic=False)
+        draw = np.empty(mu.shape, dtype=mu.data.dtype)
+        np.multiply(sigma.data, flow._rng.normal(size=mu.shape), out=draw)
+        draw += mu.data
+        draws.append(draw)
+    return np.stack(draws)
 
 
 def model_inputs(cfg, batch=2):
@@ -67,6 +82,24 @@ class TestFlowDistributionHead:
         near = Tensor(mu.data + 0.01)
         far = Tensor(mu.data + 10.0)
         assert flow.nll(h_e, h_d, near, deterministic=True).item() < flow.nll(h_e, h_d, far, deterministic=True).item()
+
+    @pytest.mark.parametrize("n_samples, preallocate", [(1, False), (1, True), (9, False), (9, True)])
+    @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_tiled_draws_match_sequential_draws(self, dtype, atol, n_samples, preallocate):
+        """One tiled pass gives the sequential draws and leaves the generator
+        exactly where the sequential draws leave it."""
+        with compute_dtype(dtype):
+            flow = self._flow().to_dtype(dtype)
+            reference = copy.deepcopy(flow)
+            h_e, h_d = Tensor(RNG.normal(size=(3, 8))), Tensor(RNG.normal(size=(3, 8)))
+            out = np.full((n_samples, 3, 5, 2), np.nan, dtype=dtype) if preallocate else None
+            samples = flow.sample_distribution(h_e, h_d, n_samples=n_samples, out=out)
+            expected = sequential_distribution_samples(reference, h_e, h_d, n_samples)
+        if preallocate:
+            assert samples is out
+        assert samples.dtype == dtype and samples.shape == expected.shape
+        np.testing.assert_allclose(samples, expected, rtol=0, atol=atol)
+        assert flow._rng.bit_generator.state == reference._rng.bit_generator.state
 
     def test_sample_distribution_spread_matches_sigma(self):
         flow = self._flow()

@@ -173,6 +173,40 @@ class TestForecastCache:
         assert cache.get("v1", "a", 4) is None
         np.testing.assert_array_equal(cache.get("v2", "a", 4), np.ones(4))
 
+    def test_indexes_track_entries_through_every_change(self):
+        """The series and version indexes name exactly the cached keys after
+        puts, re-puts, LRU evictions, both invalidations and clear."""
+        cache = ForecastCache(capacity=6)
+
+        def assert_consistent():
+            keys = set(cache._entries)
+            for index, field in ((cache._by_series, 1), (cache._by_version, 0)):
+                assert all(index.values()), "no empty index buckets"
+                indexed = [key for bucket in index.values() for key in bucket]
+                assert len(indexed) == len(cache)
+                assert set(indexed) == keys
+                assert all(key[field] == name for name, bucket in index.items() for key in bucket)
+
+        for version in ("v1", "v2"):
+            for series in ("a", "b", "c"):
+                cache.put(version, series, 4, np.zeros(4))
+                assert_consistent()
+        cache.put("v1", "a", 4, np.ones(4))  # re-put refreshes, no new key
+        assert_consistent()
+        cache.put("v3", "d", 2, np.zeros(2))  # evicts the LRU ("v1", "b", 4)
+        assert cache.stats()["evictions"] == 1 and cache.get("v1", "b", 4) is None
+        assert_consistent()
+        assert cache.invalidate_series("a") == 2
+        assert_consistent()
+        assert cache.invalidate_series("missing") == 0
+        assert cache.invalidate_version("v2") == 2
+        assert_consistent()
+        assert len(cache) == 2
+        assert cache.clear() == 2
+        assert_consistent()
+        assert len(cache) == 0 and not cache._by_series and not cache._by_version
+        assert cache.stats()["invalidations"] == 6
+
     def test_entries_are_frozen_copies(self):
         cache = ForecastCache(capacity=2)
         source = np.zeros(4)
