@@ -15,8 +15,9 @@ While a :class:`Trace` is active, three seams are instrumented:
 
 - every public function in :mod:`repro.tensor.functional` is wrapped to
   re-symbolise its outputs (exact transfer rules where shape algebra is
-  interesting — reductions, concat/stack/split, einsum, the fused RNN
-  scans — generic probe-matching otherwise);
+  interesting — reductions, concat/stack/split, einsum, the windowed
+  attention kernels, the fused RNN scans — generic probe-matching
+  otherwise);
 - ``Module.__call__`` pushes the dotted module path (for attribution),
   verifies any declared ``@shape_contract`` on the module's forward, and
   converts the first raising op into a finding that names the module and
@@ -643,6 +644,18 @@ def _rule(trace: Trace, op: str, args, kwargs, out_data) -> Optional[Tuple]:
         return tuple(
             e + int(before) + int(after) for e, (before, after) in zip(x.sym, pad_width)
         )
+    if op == "window_scores":
+        q = trace.sym_of(_arg(args, kwargs, 0, "q", None))
+        half = _arg(args, kwargs, 2, "half", None)
+        if q is None or half is None:
+            return None
+        return tuple(q[:-1]) + (2 * int(half) + 1,)  # (B, H, L, d) -> (B, H, L, w+1)
+    if op == "window_mix":
+        weights = trace.sym_of(_arg(args, kwargs, 0, "weights", None))
+        v = trace.sym_of(_arg(args, kwargs, 1, "v", None))
+        if weights is None or v is None:
+            return None
+        return tuple(weights[:-1]) + (v[-1],)  # (B, H, L, w+1), (B, H, L, d) -> (B, H, L, d)
     if op == "gru_sequence" and isinstance(args[0], AbstractTensor):
         s = args[0].sym
         return (s[0], s[1], sym(s[2]) // 3)

@@ -4,9 +4,9 @@ Every mechanism the paper exercises (Table VI, Fig. 5):
 
 - :class:`FullAttention` — Vaswani scaled dot-product, O(L^2).
 - :class:`SlidingWindowAttention` — Conformer's windowed attention; each
-  point attends to w/2 neighbours on each side.  Implemented with strided
-  neighbour gathers so cost is genuinely O(w * L), which is what makes the
-  Fig. 5 complexity curves reproducible.
+  point attends to w/2 neighbours on each side.  Implemented with one
+  shifted slice of the time axis per offset so cost is genuinely O(w * L),
+  which is what makes the Fig. 5 complexity curves reproducible.
 - :class:`ProbSparseAttention` — Informer's query-sparsity mechanism.
 - :class:`LSHAttention` — Reformer's hashing attention (chunked buckets).
 - :class:`LogSparseAttention` — LogTrans exponential-step mask.
@@ -59,18 +59,21 @@ def _window_plan(length: int, half: int, causal: bool):
 
     ``idx`` is the (L, w+1) clipped neighbour index map; ``invalid`` the
     matching boolean mask of out-of-range (or future, when causal)
-    positions, or None when every slot is valid.  Keyed by the full
-    geometry, so a sequence-length change rebuilds instead of reusing a
-    stale plan.
+    positions, or None when every slot is valid.  ``invalid`` is laid out
+    slot-major (a transposed view of (w+1, L) memory), like the scores of
+    :func:`~repro.tensor.functional.window_scores`, so masking keeps that
+    layout.  Keyed by the full geometry, so a sequence-length change
+    rebuilds instead of reusing a stale plan.
     """
 
     def build():
         offsets = np.arange(-half, half + 1)
-        positions = np.arange(length)[:, None] + offsets[None, :]
-        idx = np.clip(positions, 0, length - 1)  # (L, w+1)
+        positions = offsets[:, None] + np.arange(length)[None, :]  # (w+1, L)
+        idx = np.ascontiguousarray(np.clip(positions, 0, length - 1).T)  # (L, w+1)
         invalid = (positions < 0) | (positions >= length)
         if causal:
-            invalid = invalid | (offsets[None, :] > 0)
+            invalid |= offsets[:, None] > 0
+        invalid = invalid.T
         idx.setflags(write=False)
         if not np.any(invalid):
             return idx, None
@@ -112,9 +115,10 @@ class SlidingWindowAttention(AttentionMechanism):
     """Conformer's windowed attention: O(w * L) time and memory.
 
     Each query position attends to the ``window // 2`` neighbours on each
-    side (plus itself).  Keys/values are edge-padded and gathered into
-    per-position neighbourhoods with a strided view, so no L x L matrix is
-    ever materialized.
+    side (plus itself).  The fused path scores and mixes with shifted
+    slices of the time axis (:func:`~repro.tensor.functional.window_scores`
+    and :func:`~repro.tensor.functional.window_mix`), one pass per offset,
+    so no L x L matrix and no (L, w+1, d) neighbourhood is materialized.
     """
 
     def __init__(self, window: int = 2, dropout: float = 0.0, causal: bool = False) -> None:
@@ -135,21 +139,22 @@ class SlidingWindowAttention(AttentionMechanism):
     def forward(self, q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         if k.shape[-2] != q.shape[-2]:
             raise ValueError("sliding-window attention requires self-attention (L_q == L_k)")
-        batch, heads, length, d_head = q.shape
-        k_windows = self._neighbourhoods(k, length)  # (B, H, L, w+1, d)
-        v_windows = self._neighbourhoods(v, length)
-        scale = math.sqrt(d_head)
+        length = q.shape[-2]
         _, invalid_mask = _window_plan(length, self.half, self.causal)
 
         if F.fused_ops_enabled():
-            # contracted matmul + fused masked softmax: 3 tape nodes total
-            scores = F.einsum("bhld,bhlwd->bhlw", q, k_windows) * (1.0 / scale)
+            # shifted-slice scores + fused masked softmax + shifted-slice mix
+            scores = F.window_scores(q, k, self.half)  # (B, H, L, w+1)
             weights = self.dropout(F.softmax_masked(scores, invalid_mask, axis=-1))
-            return F.einsum("bhlw,bhlwd->bhld", weights, v_windows)
-        return self._forward_unfused(q, k_windows, v_windows, invalid_mask, scale)
+            return F.window_mix(weights, v, self.half)
+        return self._forward_unfused(q, k, v, invalid_mask)
 
-    def _forward_unfused(self, q, k_windows, v_windows, invalid_mask, scale):
-        """Broadcast-multiply-sum scores (benchmark baseline / reference)."""
+    def _forward_unfused(self, q, k, v, invalid_mask):
+        """Gather-and-broadcast composition (benchmark baseline / reference)."""
+        length = q.shape[-2]
+        k_windows = self._neighbourhoods(k, length)  # (B, H, L, w+1, d)
+        v_windows = self._neighbourhoods(v, length)
+        scale = math.sqrt(q.shape[-1])
         q_expanded = q.expand_dims(3)  # (B, H, L, 1, d)
         scores = (q_expanded * k_windows).sum(axis=-1) / scale  # (B, H, L, w+1)
         if invalid_mask is not None:

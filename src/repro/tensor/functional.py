@@ -220,12 +220,12 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    out_data = np.logaddexp(0.0, x.data)
-    sig = sp_special.expit(x.data)
+    # log(1 + e^x) without overflow: max(x, 0) + log1p(e^-|x|)
+    out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * sig)
+            x._accumulate(grad * sp_special.expit(x.data))
 
     return Tensor._make(out_data, (x,), "softplus", backward)
 
@@ -342,6 +342,128 @@ def softmax_masked(x: Tensor, mask: Optional[np.ndarray] = None, axis: int = -1)
             x._accumulate(soft * (grad - inner))
 
     return Tensor._make(out_data, (x,), "softmax_masked", backward)
+
+
+# ----------------------------------------------------------------------
+# sliding-window kernels
+# ----------------------------------------------------------------------
+# Windowed attention pairs query position l with key/value position
+# l + o for each offset o in [-half, half]; slot j = o + half of the
+# (..., L, w+1) score/weight layout.  The kernels walk the w+1 offsets
+# with shifted slices of the time axis instead of gathering
+# (..., L, w+1, d) neighbourhoods.  They work on *time-major* arrays,
+# (c, L, ...) with the channel or slot axis c outermost in memory, so
+# the only reduction (over c) adds whole slabs in order: elementwise
+# work that computes every output row the same way whatever the batch
+# size.  Outputs go back as (..., L, c) views of that memory, so scores
+# reach softmax_masked laid out slot-major (like the cached window
+# mask) and its reductions over the w+1 slots are slab passes too.
+# Out-of-range slots (l + o outside [0, L)) hold 0 and receive no
+# gradient; callers mask them.
+def _window_offsets(length: int, half: int):
+    """Yield (slot, offset, lo, hi): rows lo:hi pair with rows lo+o:hi+o."""
+    for slot, offset in enumerate(range(-half, half + 1)):
+        lo, hi = (-offset, length) if offset < 0 else (0, length - offset)
+        if lo < hi:
+            yield slot, offset, lo, hi
+
+
+def _time_major(x: np.ndarray, like: Optional[np.ndarray] = None) -> np.ndarray:
+    """(..., L, c) -> (c, L, ...) with the channel axis outermost in memory.
+
+    The other axes keep the memory order of ``x`` (or of the time-major
+    array ``like``, so that two operands line up), which keeps the copy
+    cheap; it is skipped when ``x`` is already laid out so.
+    """
+    n = x.ndim
+    moved = x.transpose((n - 1, n - 2) + tuple(range(n - 2)))
+    strides = (moved if like is None else like).strides
+    order = (0,) + tuple(sorted(range(1, n), key=lambda i: -strides[i]))
+    return np.ascontiguousarray(moved.transpose(order)).transpose(np.argsort(order))
+
+
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """(c, L, ...) -> (..., L, c) view (inverse of :func:`_time_major`)."""
+    n = x.ndim
+    return x.transpose(tuple(range(2, n)) + (1, 0))
+
+
+def _window_dot(a: np.ndarray, b: np.ndarray, half: int) -> np.ndarray:
+    """(w+1, L, ...) with ``out[j, l] = sum_c a[c, l] * b[c, l + o_j]`` (time-major)."""
+    out = np.zeros_like(a, dtype=np.result_type(a, b), shape=(2 * half + 1,) + a.shape[1:])  # laid out like a
+    prod = np.empty_like(a)
+    for slot, offset, lo, hi in _window_offsets(a.shape[1], half):
+        tmp = prod[:, : hi - lo]
+        np.multiply(a[:, lo:hi], b[:, lo + offset : hi + offset], out=tmp)
+        np.sum(tmp, axis=0, out=out[slot, lo:hi])
+    return out
+
+
+def _window_gather(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """(c, L, ...) with ``out[:, l] = sum_j w[j, l] * x[:, l + o_j]`` (time-major)."""
+    out = w[half] * x  # the centre slot covers every row
+    prod = np.empty_like(out)
+    for slot, offset, lo, hi in _window_offsets(x.shape[1], half):
+        if offset:
+            tmp = prod[:, : hi - lo]
+            np.multiply(w[slot, lo:hi], x[:, lo + offset : hi + offset], out=tmp)
+            out[:, lo:hi] += tmp
+    return out
+
+
+def _window_scatter(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """(c, L, ...) with ``out[:, l + o_j] += w[j, l] * x[:, l]`` (adjoint of the gather)."""
+    out = w[half] * x
+    prod = np.empty_like(out)
+    for slot, offset, lo, hi in _window_offsets(x.shape[1], half):
+        if offset:
+            tmp = prod[:, : hi - lo]
+            np.multiply(w[slot, lo:hi], x[:, lo:hi], out=tmp)
+            out[:, lo + offset : hi + offset] += tmp
+    return out
+
+
+def window_scores(q: Tensor, k: Tensor, half: int) -> Tensor:
+    """Scaled windowed attention scores, (B, H, L, d) x2 -> (B, H, L, 2*half+1).
+
+    ``out[..., l, half + o] = q[..., l, :] . k[..., l + o, :] / sqrt(d)``;
+    slots whose key lies outside the sequence hold 0.  One tape node.
+    """
+    q, k = ensure_tensor(q), ensure_tensor(k)
+    inv_scale = 1.0 / math.sqrt(q.shape[-1])
+    q_t = _time_major(q.data) * inv_scale
+    k_t = _time_major(k.data, like=q_t)
+    out_data = _batch_major(_window_dot(q_t, k_t, half))
+
+    def backward(grad: np.ndarray) -> None:
+        grad_t = _time_major(grad, like=q_t)
+        if q.requires_grad:
+            q._accumulate(_batch_major(_window_gather(grad_t, k_t, half) * inv_scale))
+        if k.requires_grad:
+            k._accumulate(_batch_major(_window_scatter(grad_t, q_t, half)))
+
+    return Tensor._make(out_data, (q, k), "window_scores", backward)
+
+
+def window_mix(weights: Tensor, v: Tensor, half: int) -> Tensor:
+    """Windowed weighted sum of values, (B, H, L, 2*half+1) x (B, H, L, d) -> (B, H, L, d).
+
+    ``out[..., l, :] = sum_o weights[..., l, half + o] * v[..., l + o, :]``
+    over in-range ``l + o``.  One tape node.
+    """
+    weights, v = ensure_tensor(weights), ensure_tensor(v)
+    v_t = _time_major(v.data)
+    w_t = _time_major(weights.data, like=v_t)
+    out_data = _batch_major(_window_gather(w_t, v_t, half))
+
+    def backward(grad: np.ndarray) -> None:
+        grad_t = _time_major(grad, like=v_t)
+        if weights.requires_grad:
+            weights._accumulate(_batch_major(_window_dot(grad_t, v_t, half)))
+        if v.requires_grad:
+            v._accumulate(_batch_major(_window_scatter(w_t, grad_t, half)))
+
+    return Tensor._make(out_data, (weights, v), "window_mix", backward)
 
 
 # ----------------------------------------------------------------------
@@ -752,16 +874,39 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _pad_axis(x: Tensor, axis: int, before: int, after: int, mode: str) -> Tensor:
-    """Pad a single axis; backward folds padded gradients onto sources."""
-    width = [(0, 0)] * x.ndim
-    width[axis] = (before, after)
-    out_data = np.pad(x.data, width, mode=mode)
+    """Pad a single axis; backward folds padded gradients onto sources.
+
+    The forward builds the output with slice copies (equal to ``np.pad``
+    bit for bit for the constant, edge and wrap modes).
+    """
     length = x.shape[axis]
+    total = before + length + after
 
     def _sel(start, stop):
         index = [slice(None)] * x.ndim
         index[axis] = slice(start, stop)
         return tuple(index)
+
+    shape = list(x.shape)
+    shape[axis] = total
+    out_data = np.empty(shape, dtype=x.data.dtype)
+    out_data[_sel(before, before + length)] = x.data
+    if mode == "constant":
+        out_data[_sel(0, before)] = 0
+        out_data[_sel(before + length, total)] = 0
+    elif mode == "edge":
+        out_data[_sel(0, before)] = x.data[_sel(0, 1)]
+        out_data[_sel(before + length, total)] = x.data[_sel(length - 1, length)]
+    elif mode == "wrap":
+        # periodic extension, one period-long chunk at a time outwards
+        for stop in range(before, 0, -length):
+            start = stop - length if stop > length else 0
+            out_data[_sel(start, stop)] = out_data[_sel(start + length, stop + length)]
+        for start in range(before + length, total, length):
+            stop = start + length if start + length < total else total
+            out_data[_sel(start, stop)] = out_data[_sel(start - length, stop - length)]
+    else:
+        raise NotImplementedError(f"pad not implemented for mode={mode!r}")
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
@@ -867,18 +1012,27 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int = 1, pad_edges: bool = True) 
         left = (kernel - 1) // 2
         right = kernel - 1 - left
         x = pad(x, ((0, 0), (left, right), (0, 0)), mode="edge")
-    windows = _sliding_windows(x.data, kernel)  # (B, L_out, K, C)
-    windows = windows[:, ::stride]
-    out_data = windows.mean(axis=2)
     l_in = x.shape[1]
+    if l_in < kernel:
+        raise ValueError(f"avg_pool1d: kernel {kernel} is longer than the series ({l_in})")
+    # output j averages rows j*stride .. j*stride + kernel - 1, so tap k of
+    # every window is the strided slice starting at row k
+    span = ((l_in - kernel) // stride) * stride + 1
+
+    def _tap(k: int):
+        return slice(k, k + span, stride)
+
+    out_data = x.data[:, _tap(0)].copy()
+    for k in range(1, kernel):
+        out_data += x.data[:, _tap(k)]
+    out_data /= kernel
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             grad_x = np.zeros((grad.shape[0], l_in, grad.shape[2]), dtype=grad.dtype)
             scaled = grad / kernel
-            for j in range(grad.shape[1]):
-                start = j * stride
-                grad_x[:, start : start + kernel, :] += scaled[:, j : j + 1, :]
+            for k in range(kernel):
+                grad_x[:, _tap(k)] += scaled
             x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), "avg_pool1d", backward)

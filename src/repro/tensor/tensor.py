@@ -195,6 +195,21 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (ints, slices, ``...``, ``None``).
+
+    Bools count as advanced (numpy treats them as masks).
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, (slice, np.integer))
+        or (isinstance(item, int) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 def _as_array(value: Arrayable, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -511,7 +526,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if _is_basic_index(index):  # selects each element at most once
+                    full[index] = grad
+                else:  # advanced indices may repeat: scatter-add
+                    np.add.at(full, index, grad)
                 self._accumulate(full)
 
         return Tensor._make(out_data, (self,), "getitem", backward)

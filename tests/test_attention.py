@@ -5,7 +5,8 @@ import pytest
 
 from repro import nn
 from repro.nn.attention import causal_mask
-from repro.tensor import Tensor
+from repro.perf import profile
+from repro.tensor import Tensor, functional as F
 from tests.helpers import check_gradients
 
 RNG = np.random.default_rng(21)
@@ -93,6 +94,37 @@ class TestSlidingWindowAttention:
         q, k, v = qkv(batch=1, heads=1, length=5, d_head=2)
         attn = nn.SlidingWindowAttention(window=2)
         check_gradients(lambda: (attn(q, k, v) ** 2).sum(), [q, k, v], atol=1e-4)
+
+    @pytest.mark.parametrize("half", [0, 1, 2, 6])
+    def test_window_scores_gradients(self, half):
+        q, k, _ = qkv(batch=2, heads=1, length=5, d_head=3)
+        check_gradients(lambda: (F.window_scores(q, k, half) ** 2).sum(), [q, k])
+
+    @pytest.mark.parametrize("half", [0, 1, 2, 6])
+    def test_window_mix_gradients(self, half):
+        _, _, v = qkv(batch=2, heads=1, length=5, d_head=3)
+        weights = Tensor(RNG.normal(size=(2, 1, 5, 2 * half + 1)), requires_grad=True)
+        check_gradients(lambda: (F.window_mix(weights, v, half) ** 2).sum(), [weights, v])
+
+    def test_window_kernels_match_gather_definition(self):
+        q, k, v = qkv(batch=2, heads=2, length=6, d_head=3)
+        half = 2
+        offsets = np.arange(-half, half + 1)
+        positions = np.arange(6)[:, None] + offsets[None, :]
+        valid = (positions >= 0) & (positions < 6)
+        k_win = k.data[:, :, np.clip(positions, 0, 5), :]  # (B, H, L, w+1, d)
+        scores = np.einsum("bhld,bhlwd->bhlw", q.data, k_win) / np.sqrt(3)
+        np.testing.assert_allclose(F.window_scores(q, k, half).data, np.where(valid, scores, 0.0), atol=1e-12)
+        weights = RNG.normal(size=(2, 2, 6, 2 * half + 1))
+        v_win = v.data[:, :, np.clip(positions, 0, 5), :]
+        mixed = np.einsum("bhlw,bhlwd->bhld", np.where(valid, weights, 0.0), v_win)
+        np.testing.assert_allclose(F.window_mix(Tensor(weights), v, half).data, mixed, atol=1e-12)
+
+    def test_fused_forward_records_no_gather(self):
+        q, k, v = qkv(length=9)
+        with profile() as prof:
+            nn.SlidingWindowAttention(window=4)(q, k, v)
+        assert dict(prof.tape_counts) == {"window_scores": 1, "softmax_masked": 1, "window_mix": 1}
 
     def test_requires_self_attention(self):
         q = Tensor(RNG.normal(size=(1, 1, 4, 2)))

@@ -201,6 +201,21 @@ class TestTracer:
         trace = trace_module(Surprise(), (x,), env={"B": B}, free_dims=(B,))
         assert any(v.kind == "broadcast_surprise" for v in trace.violations)
 
+    def test_window_kernels_keep_symbolic_length(self):
+        class Windowed(Module):
+            def forward(self, q, k, v):
+                scores = F.window_scores(q, k, 2)
+                return scores, F.window_mix(F.softmax(scores, axis=-1), v, half=2)
+
+        B = Dim("B", size=11, free=True)
+        L = Dim("L", size=7)  # not free: only a transfer rule can keep the label
+        q, k, v = (_abstract((B, 2, L, 4), seed=s) for s in range(3))
+        trace = trace_module(Windowed(), (q, k, v), env={"B": B, "L": L}, free_dims=(B,))
+        assert trace.violations == []
+        scores_sym, out_sym = trace.output_sym
+        assert scores_sym[2].same_as(sym(L)) and scores_sym[3] == 5
+        assert out_sym[2].same_as(sym(L)) and out_sym[3] == 4
+
     def test_shape_ops_preserve_symbols(self):
         class Reshaper(Module):
             def forward(self, x):

@@ -106,6 +106,8 @@ class TestFusedUnfusedParity:
             return attn(q, k, v), [q, k, v]
 
         self._parity(run)
+        attn.causal = True
+        self._parity(run)
 
 
 @pytest.mark.perf

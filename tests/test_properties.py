@@ -181,16 +181,18 @@ class TestAttentionProperties:
         assert np.all(out <= v_data.max(axis=2, keepdims=True) + 1e-9)
         assert np.all(out >= v_data.min(axis=2, keepdims=True) - 1e-9)
 
-    @given(st.integers(min_value=2, max_value=10), st.sampled_from([2, 4]))
-    @settings(max_examples=15, deadline=None)
-    def test_window_attention_matches_banded_full(self, length, window):
+    @given(st.integers(min_value=1, max_value=10), st.sampled_from([1, 2, 4, 6]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_window_attention_matches_banded_full(self, length, window, causal):
         rng = np.random.default_rng(length)
-        q = Tensor(rng.normal(size=(1, 1, length, 3)))
-        k = Tensor(rng.normal(size=(1, 1, length, 3)))
-        v = Tensor(rng.normal(size=(1, 1, length, 3)))
-        swa = nn.SlidingWindowAttention(window=window)(q, k, v).data
+        q = Tensor(rng.normal(size=(2, 2, length, 3)))
+        k = Tensor(rng.normal(size=(2, 2, length, 3)))
+        v = Tensor(rng.normal(size=(2, 2, length, 3)))
+        swa = nn.SlidingWindowAttention(window=window, causal=causal)(q, k, v).data
         idx = np.arange(length)
         band = np.abs(idx[:, None] - idx[None, :]) > window // 2
+        if causal:
+            band |= idx[None, :] > idx[:, None]
         full = nn.FullAttention()(q, k, v, mask=band).data
         np.testing.assert_allclose(swa, full, atol=1e-9)
 

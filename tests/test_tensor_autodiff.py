@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor import Tensor, compute_dtype, functional as F, no_grad
 from tests.helpers import check_gradients
 
 RNG = np.random.default_rng(7)
@@ -99,6 +99,15 @@ class TestElementwise:
         a.data[np.abs(a.data) < 1e-3] += 0.01
         check_gradients(lambda: op(a).sum(), [a])
 
+    def test_softplus_matches_logaddexp(self):
+        grid = np.concatenate([np.linspace(-60.0, 60.0, 2401), [-1e4, 1e4]])
+        np.testing.assert_allclose(F.softplus(Tensor(grid)).data, np.logaddexp(0.0, grid), rtol=1e-15, atol=0)
+        grid32 = grid.astype(np.float32)
+        with compute_dtype(np.float32):
+            out = F.softplus(Tensor(grid32)).data
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, np.logaddexp(np.float32(0.0), grid32), rtol=1e-6, atol=0)
+
     def test_log_sqrt(self):
         a = Tensor(RNG.uniform(0.5, 3.0, (5,)), requires_grad=True)
         check_gradients(lambda: (F.log(a) + F.sqrt(a)).sum(), [a])
@@ -168,6 +177,32 @@ class TestShapeOps:
         idx = np.array([0, 2, 2, 5])  # repeated index must accumulate
         check_gradients(lambda: (a[idx] ** 2).sum(), [a])
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            1,
+            np.int64(-2),
+            slice(None, None, -2),
+            (Ellipsis, 1),
+            (None, slice(1, 3), Ellipsis),
+            (slice(0, 4, 3), None, -1),
+            (2, slice(None), 0),
+        ],
+    )
+    def test_getitem_basic_grad_equals_scatter_add(self, index):
+        a = randt(4, 3, 2)
+        grad = RNG.normal(size=a.data[index].shape)
+        a[index].backward(grad)
+        expected = np.zeros_like(a.data)
+        np.add.at(expected, index, grad)
+        np.testing.assert_array_equal(a.grad, expected)
+
+    def test_getitem_repeated_fancy_index_accumulates(self):
+        a = randt(5, 2)
+        idx = (np.array([1, 3, 1, 1]), slice(None))
+        a[idx].backward(np.ones((4, 2)))
+        np.testing.assert_array_equal(a.grad[:, 0], [0.0, 3.0, 0.0, 1.0, 0.0])
+
     def test_concat(self):
         a, b = randt(2, 3), randt(2, 5)
         check_gradients(lambda: (F.concat([a, b], axis=1) ** 2).sum(), [a, b])
@@ -202,6 +237,18 @@ class TestPadding:
         out = F.pad(a, ((0, 0), (2, 3), (1, 0)))
         assert out.shape == (2, 10, 4)
 
+    @pytest.mark.parametrize("mode", ["constant", "edge", "wrap"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pad_matches_numpy_bit_for_bit(self, mode, dtype):
+        with compute_dtype(dtype):
+            for length in (1, 3, 6):
+                x = Tensor(RNG.normal(size=(2, length, 3)))
+                for before, after in ((1, 0), (0, 2), (2, 3), (length, length), (2 * length + 1, length + 2)):
+                    out = F._pad_axis(x, 1, before, after, mode).data
+                    expected = np.pad(x.data, ((0, 0), (before, after), (0, 0)), mode=mode)
+                    assert out.dtype == expected.dtype == dtype
+                    np.testing.assert_array_equal(out, expected)
+
 
 class TestConvPool:
     def test_conv1d_grad(self):
@@ -228,6 +275,25 @@ class TestConvPool:
     def test_avg_pool_grad(self):
         x = randt(1, 7, 2)
         check_gradients(lambda: (F.avg_pool1d(x, kernel=3) ** 2).sum(), [x])
+
+    @staticmethod
+    def _moving_mean(data, kernel, stride):
+        left = (kernel - 1) // 2
+        padded = np.pad(data, ((0, 0), (left, kernel - 1 - left), (0, 0)), mode="edge")
+        starts = range(0, padded.shape[1] - kernel + 1, stride)
+        return np.stack([padded[:, s : s + kernel].mean(axis=1) for s in starts], axis=1)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 5, 13, 20])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_avg_pool_matches_moving_mean(self, kernel, stride):
+        x = randt(2, 11, 3)  # kernel 20 > L
+        out = F.avg_pool1d(x, kernel, stride=stride)
+        np.testing.assert_allclose(out.data, self._moving_mean(x.data, kernel, stride), rtol=1e-12, atol=1e-14)
+        check_gradients(lambda: (F.avg_pool1d(x, kernel, stride=stride) ** 2).sum(), [x])
+
+    def test_avg_pool_without_padding_rejects_long_kernel(self):
+        with pytest.raises(ValueError):
+            F.avg_pool1d(randt(1, 4, 2), kernel=5, pad_edges=False)
 
     def test_avg_pool_constant_series(self):
         x = Tensor(np.full((1, 8, 1), 2.5))
