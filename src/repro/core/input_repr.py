@@ -50,7 +50,7 @@ def multivariate_correlation_weights(x: np.ndarray) -> np.ndarray:
     if is_inference_mode():
         w = get_arena().get("input_repr.corr", corr.shape, corr.dtype)
         np.divide(corr, max(x.shape[1], 1), out=w)
-        w -= w.max(axis=-1, keepdims=True)
+        w -= F.row_max(w)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         # deliberate ownership exception (documented above): the caller
@@ -58,7 +58,7 @@ def multivariate_correlation_weights(x: np.ndarray) -> np.ndarray:
         # checkout of this slot can recycle the buffer
         return w  # repro: noqa[dataflow-arena-escape]
     corr = corr / max(x.shape[1], 1)
-    shifted = corr - corr.max(axis=-1, keepdims=True)
+    shifted = corr - F.row_max(corr)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 

@@ -8,6 +8,7 @@ convolution/pooling, and losses.  Each op wires its own backward closure.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from typing import Optional, Sequence, Tuple, Union
 
@@ -91,8 +92,8 @@ def var(x: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
 
 def _extreme(x: Tensor, axis: Axis, keepdims: bool, fn, name: str) -> Tensor:
-    out_data = fn(x.data, axis=axis, keepdims=keepdims)
     expanded = fn(x.data, axis=axis, keepdims=True)
+    out_data = expanded if keepdims else np.squeeze(expanded, axis=axis)
     mask = (x.data == expanded).astype(x.data.dtype)
     mask = mask / mask.sum(axis=axis, keepdims=True)  # split ties evenly
 
@@ -286,8 +287,26 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # softmax family
 # ----------------------------------------------------------------------
+def row_max(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.max(a, axis=axis, keepdims=True)`` on an array, bit for bit.
+
+    numpy reduces an axis that is outermost in memory with one
+    ``np.maximum`` pass per slab, but a short innermost axis one row at a
+    time, at several times the cost of a sum over the same rows.  An axis
+    that is not yet outermost (the softmax axis of a C-ordered score
+    array) is moved there with one contiguous copy first; one that is
+    (the slot axis of slot-major window scores) is reduced in place.
+    """
+    axis %= a.ndim
+    if a.shape[axis] == 1 or a.strides[axis] * a.shape[axis] >= a.nbytes:
+        return a.max(axis=axis, keepdims=True)
+    order = (axis,) + tuple(range(axis)) + tuple(range(axis + 1, a.ndim))
+    slabs = np.ascontiguousarray(a.transpose(order)).max(axis=0, keepdims=True)
+    return slabs.transpose(tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, a.ndim)))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - row_max(x.data, axis)
     exps = np.exp(shifted)
     out_data = exps / exps.sum(axis=axis, keepdims=True)
 
@@ -300,7 +319,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - row_max(x.data, axis)
     logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - logsumexp
     soft = np.exp(out_data)
@@ -328,7 +347,7 @@ def softmax_masked(x: Tensor, mask: Optional[np.ndarray] = None, axis: int = -1)
     # -inf at masked entries keeps the max-shift stable and makes exp() give
     # exact zeros without overflow; the temp is short-lived and never taped.
     neg = np.where(mask, -np.inf, x.data)
-    shift = neg.max(axis=axis, keepdims=True)
+    shift = row_max(neg, axis)
     shift = np.where(np.isfinite(shift), shift, 0.0)  # all-masked rows
     exps = np.exp(neg - shift)
     denom = exps.sum(axis=axis, keepdims=True)
@@ -608,42 +627,83 @@ def lstm_step(x_gates: Tensor, h: Tensor, c: Tensor, weight_hh: Tensor, bias_hh:
     return Tensor._make(out_data, (x_gates, h, c, weight_hh, bias_hh), "lstm_step", backward)
 
 
+# Both GRU scans run gate-major and batch-minor.  The input projection is
+# transposed once to (L, 3H, B), and the hidden states live in one
+# (L+1, H+1, B) array whose last row is all ones, so a step's recurrent
+# pre-activations, bias included, are ONE np.dot of the augmented
+# (3H, H+1) weight [W_hh; b_hh]^T with the previous state.  Every
+# per-step ufunc then runs on whole contiguous row blocks, where a
+# column slice of a (B, 3H) array would cost several times as much.
+def _gru_scan(
+    x_proj: Tensor,
+    h0: Tensor,
+    weight_hh: Tensor,
+    bias_hh: Tensor,
+    xt: np.ndarray,
+    w_aug: np.ndarray,
+    hs: np.ndarray,
+    gh: np.ndarray,
+    rz: np.ndarray,
+    n: np.ndarray,
+) -> None:
+    """Lay the inputs out gate-major in ``xt``, ``w_aug`` and ``hs[0]``,
+    then run the recurrence, writing every hidden state into ``hs[1:]``.
+
+    The gate buffers ``gh`` (recurrent pre-activations), ``rz`` (reset and
+    update gates) and ``n`` (candidate) have a leading axis of L, to keep
+    every step for the backward, or of 1, to reuse one slot.
+    """
+    hidden = n.shape[1]
+    xt[...] = x_proj.data.transpose(1, 2, 0)
+    w_aug[:, :hidden] = weight_hh.data.T
+    w_aug[:, hidden] = bias_hh.data
+    hs[0, :hidden] = h0.data.T
+    hs[:, hidden] = 1
+    h = hs[:, :hidden]
+    # every view a step touches is made here: indexing inside the loop
+    # would cost a large share of a step on blocks this small
+    gates = list(zip(gh, gh[:, : 2 * hidden], gh[:, 2 * hidden :], rz, rz[:, :hidden], rz[:, hidden:], n))
+    steps = zip(xt[:, : 2 * hidden], xt[:, 2 * hidden :], hs, h, h[1:], itertools.cycle(gates))
+    for x_rz, x_n, h_aug, h_prev, h_next, (g, g_rz, g_n, rz_t, r, z, c) in steps:
+        np.dot(w_aug, h_aug, out=g)
+        np.add(x_rz, g_rz, out=rz_t)
+        sp_special.expit(rz_t, out=rz_t)
+        np.multiply(r, g_n, out=c)
+        c += x_n
+        np.tanh(c, out=c)
+        # h_new = n + z * (h - n), written straight into the next state
+        np.subtract(h_prev, c, out=h_next)
+        h_next *= z
+        h_next += c
+
+
 def _gru_sequence_inference(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
     """Tape-free GRU scan for ``inference_mode()``.
 
-    Numerically identical to the fused training scan but saves no gate
-    activations (nothing will ever read them) and runs every per-timestep
-    kernel ``out=``-style into arena scratch.  Only the (B, L, H) output —
-    which escapes — is freshly allocated.
+    Runs the same steps as the taped scan, bit for bit, but keeps one slot
+    of gate scratch instead of every step's activations (nothing will
+    ever read them), all of it in arena scratch.  Only the (B, L, H)
+    output, which escapes, is freshly allocated.
     """
     batch, length, three_h = x_proj.shape
     hidden = three_h // 3
-    w_hh = weight_hh.data
-    b_hh = bias_hh.data
-    xp = x_proj.data
-    dt = np.result_type(xp.dtype, w_hh.dtype, b_hh.dtype, h0.data.dtype)
-    out = np.empty((batch, length, hidden), dtype=dt)
+    dt = np.result_type(x_proj.data.dtype, weight_hh.data.dtype, bias_hh.data.dtype, h0.data.dtype)
     arena = get_arena()
-    gh = arena.get("gru.gh", (batch, three_h), dt)      # recurrent gate pre-activations
-    rz = arena.get("gru.rz", (batch, 2 * hidden), dt)   # reset|update gates
-    n_buf = arena.get("gru.n", (batch, hidden), dt)     # candidate state
-    h = arena.get("gru.h", (batch, hidden), dt)         # running hidden state
-    h[...] = h0.data
-    r, z = rz[:, :hidden], rz[:, hidden:]
-    for t in range(length):
-        np.dot(h, w_hh, out=gh)
-        gh += b_hh
-        gx = xp[:, t]
-        np.add(gx[:, : 2 * hidden], gh[:, : 2 * hidden], out=rz)
-        sp_special.expit(rz, out=rz)
-        np.multiply(r, gh[:, 2 * hidden :], out=n_buf)
-        n_buf += gx[:, 2 * hidden :]
-        np.tanh(n_buf, out=n_buf)
-        # h_new = n + z * (h - n), rewritten to update h in place
-        np.subtract(h, n_buf, out=h)
-        h *= z
-        h += n_buf
-        out[:, t] = h
+    hs = arena.get("gru.h", (length + 1, hidden + 1, batch), dt)
+    _gru_scan(
+        x_proj,
+        h0,
+        weight_hh,
+        bias_hh,
+        arena.get("gru.x", (length, three_h, batch), dt),
+        arena.get("gru.w", (three_h, hidden + 1), dt),
+        hs,
+        arena.get("gru.gh", (1, three_h, batch), dt),
+        arena.get("gru.rz", (1, 2 * hidden, batch), dt),
+        arena.get("gru.n", (1, hidden, batch), dt),
+    )
+    out = np.empty((batch, length, hidden), dtype=dt)
+    out[...] = hs[1:, :hidden].transpose(2, 0, 1)
     # the work buffers die here: releasing the scope lets the alias
     # sanitizer flag any handle that leaked out of the kernel (no-op when
     # no sanitizer is attached)
@@ -658,71 +718,83 @@ def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor)
 
     ``x_proj`` is the input projection for every timestep, (B, L, 3H);
     ``h0`` the initial hidden state (B, H).  Returns all hidden states
-    (B, L, H), written into a preallocated buffer.  The backward is a
-    hand-written truncated-free BPTT over saved gate activations.
-    Inside ``inference_mode()`` a tape-free branch that retains no
-    intermediates is taken instead.
+    (B, L, H).  The backward is a hand-written truncated-free BPTT over
+    saved gate activations.  Inside ``inference_mode()`` a tape-free
+    branch that retains no intermediates is taken instead.
     """
     if _engine._INFERENCE_MODE:
         return _gru_sequence_inference(x_proj, h0, weight_hh, bias_hh)
     batch, length, three_h = x_proj.shape
     hidden = three_h // 3
     w_hh = weight_hh.data
-    b_hh = bias_hh.data
-    xp = x_proj.data
-    out = np.empty((batch, length, hidden), dtype=xp.dtype)
-    # saved activations for backward: reset/update/candidate gates, the
-    # recurrent candidate pre-activation, and every hidden state
-    r_all = np.empty((length, batch, hidden), dtype=xp.dtype)
-    z_all = np.empty_like(r_all)
-    n_all = np.empty_like(r_all)
-    nh_all = np.empty_like(r_all)
-    h_all = np.empty((length + 1, batch, hidden), dtype=xp.dtype)
-    h = h_all[0]
-    h[...] = h0.data
-    for t in range(length):
-        gh = h @ w_hh + b_hh
-        gx = xp[:, t]
-        r = sp_special.expit(gx[:, :hidden] + gh[:, :hidden])
-        z = sp_special.expit(gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])
-        nh = gh[:, 2 * hidden :]
-        n = np.tanh(gx[:, 2 * hidden :] + r * nh)
-        h = (1.0 - z) * n + z * h
-        r_all[t], z_all[t], n_all[t], nh_all[t], h_all[t + 1] = r, z, n, nh, h
-        out[:, t] = h
+    dt = np.result_type(x_proj.data.dtype, w_hh.dtype, bias_hh.data.dtype, h0.data.dtype)
+    # saved for the backward: every step's state, recurrent
+    # pre-activations and gates
+    hs = np.empty((length + 1, hidden + 1, batch), dtype=dt)
+    gh = np.empty((length, three_h, batch), dtype=dt)
+    rz = np.empty((length, 2 * hidden, batch), dtype=dt)
+    n = np.empty((length, hidden, batch), dtype=dt)
+    _gru_scan(
+        x_proj,
+        h0,
+        weight_hh,
+        bias_hh,
+        np.empty((length, three_h, batch), dtype=dt),
+        np.empty((three_h, hidden + 1), dtype=dt),
+        hs,
+        gh,
+        rz,
+        n,
+    )
+    out = np.empty((batch, length, hidden), dtype=dt)
+    out[...] = hs[1:, :hidden].transpose(2, 0, 1)
     if _engine._SANITIZER is not None:
         # a NaN born mid-scan is invisible in the single fused tape node;
         # report the first offending timestep before _make files a generic one
         _engine._SANITIZER.check_sequence("gru_sequence", out, time_axis=1)
 
     def backward(grad: np.ndarray) -> None:
-        w_hh_t = w_hh.T
-        dgh_all = np.empty((length, batch, 3 * hidden), dtype=grad.dtype)
-        dxp = np.empty_like(xp) if x_proj.requires_grad else None
-        dh_next = np.zeros((batch, hidden), dtype=grad.dtype)
-        for t in range(length - 1, -1, -1):
-            dh = grad[:, t] + dh_next
-            r, z, n, nh, h_prev = r_all[t], z_all[t], n_all[t], nh_all[t], h_all[t]
-            dpre_n = dh * (1.0 - z) * (1.0 - n * n)
-            dgh = dgh_all[t]
-            dgh[:, :hidden] = dpre_n * nh * r * (1.0 - r)
-            dgh[:, hidden : 2 * hidden] = dh * (h_prev - n) * z * (1.0 - z)
-            dgh[:, 2 * hidden :] = dpre_n * r
-            if dxp is not None:
-                dxp_t = dxp[:, t]
-                dxp_t[:, : 2 * hidden] = dgh[:, : 2 * hidden]
-                dxp_t[:, 2 * hidden :] = dpre_n
-            dh_next = dh * z + dgh @ w_hh_t
-        if dxp is not None:
+        # Each step's gradients are linear in dh, the gradient reaching
+        # h_t, so their coefficients are computed for all steps at once:
+        #   dgh = [dh*a*nh*r*(1-r), dh*(h_prev-n)*z*(1-z), dh*a*r]
+        # with a = (1-z)*(1-n^2), and d(x_proj) = dgh with its candidate
+        # block dh*a.  The loop is then dh = grad_t + dh_next,
+        # dgh_t = coeff_t * dh, dh_next = dh*z + W_hh @ dgh_t.
+        r, z, nh = rz[:, :hidden], rz[:, hidden:], gh[:, 2 * hidden :]
+        a = (1.0 - z) * (1.0 - n * n)
+        coeff = np.empty((length, 3, hidden, batch), dtype=dt)
+        coeff[:, 0] = a * nh * r * (1.0 - r)
+        coeff[:, 1] = (hs[:length, :hidden] - n) * z * (1.0 - z)
+        coeff[:, 2] = a * r
+        grad_t = np.empty((length, hidden, batch), dtype=grad.dtype)
+        grad_t[...] = grad.transpose(1, 2, 0)
+        dh_all = np.empty((length, hidden, batch), dtype=dt)
+        dgh_split = np.empty((length, 3, hidden, batch), dtype=dt)
+        dgh = dgh_split.reshape(length, three_h, batch)
+        dh_next = np.zeros((hidden, batch), dtype=dt)
+        carry = np.empty((hidden, batch), dtype=dt)
+        steps = zip(dh_all[::-1], grad_t[::-1], coeff[::-1], dgh_split[::-1], dgh[::-1], z[::-1])
+        for dh, grad_step, coeff_step, dgh_step, dgh_flat, z_step in steps:
+            np.add(grad_step, dh_next, out=dh)
+            np.multiply(coeff_step, dh, out=dgh_step)
+            np.multiply(dh, z_step, out=carry)
+            np.dot(w_hh, dgh_flat, out=dh_next)
+            dh_next += carry
+        if x_proj.requires_grad:
+            dxp = np.empty((batch, length, three_h), dtype=dt)
+            dxp[:, :, : 2 * hidden] = dgh[:, : 2 * hidden].transpose(2, 0, 1)
+            dxp[:, :, 2 * hidden :] = (dh_all * a).transpose(2, 0, 1)
             x_proj._accumulate(dxp)
         if h0.requires_grad:
-            h0._accumulate(dh_next)
-        if weight_hh.requires_grad:
-            weight_hh._accumulate(
-                np.einsum("tbh,tbk->hk", h_all[:length], dgh_all, optimize=True)
-            )
-        if bias_hh.requires_grad:
-            bias_hh._accumulate(dgh_all.sum(axis=(0, 1)))
+            h0._accumulate(dh_next.T)
+        if weight_hh.requires_grad or bias_hh.requires_grad:
+            # rows 0..H-1 of the augmented weight's gradient are W_hh's,
+            # row H (the ones row) is b_hh's
+            dw_aug = np.tensordot(hs[:length], dgh, axes=([0, 2], [0, 2]))
+            if weight_hh.requires_grad:
+                weight_hh._accumulate(dw_aug[:hidden])
+            if bias_hh.requires_grad:
+                bias_hh._accumulate(dw_aug[hidden])
 
     return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", backward)
 
@@ -911,24 +983,22 @@ def _pad_axis(x: Tensor, axis: int, before: int, after: int, mode: str) -> Tenso
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
+        if mode == "wrap":
+            # undo the forward's chunk copies outermost first, folding each
+            # chunk's gradient onto the chunk it was copied from
+            grad = grad.copy()
+            for start in reversed(range(before + length, total, length)):
+                stop = start + length if start + length < total else total
+                grad[_sel(start - length, stop - length)] += grad[_sel(start, stop)]
+            for stop in reversed(range(before, 0, -length)):
+                start = stop - length if stop > length else 0
+                grad[_sel(start + length, stop + length)] += grad[_sel(start, stop)]
         core = grad[_sel(before, before + length)].copy()
-        if mode == "constant" or (before == 0 and after == 0):
-            x._accumulate(core)
-            return
         if mode == "edge":
             if before:
                 core[_sel(0, 1)] += grad[_sel(0, before)].sum(axis=axis, keepdims=True)
             if after:
-                core[_sel(length - 1, length)] += grad[_sel(before + length, before + length + after)].sum(
-                    axis=axis, keepdims=True
-                )
-        elif mode == "wrap":
-            if before:
-                core[_sel(length - before, length)] += grad[_sel(0, before)]
-            if after:
-                core[_sel(0, after)] += grad[_sel(before + length, before + length + after)]
-        else:
-            raise NotImplementedError(f"pad backward not implemented for mode={mode!r}")
+                core[_sel(length - 1, length)] += grad[_sel(before + length, total)].sum(axis=axis, keepdims=True)
         x._accumulate(core)
 
     return Tensor._make(out_data, (x,), f"pad[{mode}]", backward)
@@ -972,31 +1042,50 @@ def conv1d(
     padding: int = 0,
     padding_mode: str = "constant",
 ) -> Tensor:
-    """1-D convolution over (B, L, C_in) with weight (K, C_in, C_out)."""
+    """1-D convolution over (B, L, C_in) with weight (K, C_in, C_out).
+
+    Computed tap by tap: tap k multiplies the rows k .. k + L_out - 1 of
+    each series by ``weight[k]``.  With the batch and time axes flattened
+    to (B * L_in, C_in) rows, every tap is ONE matmul over the shifted
+    rows k .. k + N - 1 (N = B * L_in - K + 1).  Output rows whose window
+    straddles two series fall past each series' L_out outputs and are
+    dropped; in the backward they carry zero gradient.
+    """
     kernel = weight.shape[0]
     if padding:
         x_padded = pad(x, ((0, 0), (padding, padding), (0, 0)), mode=padding_mode)
     else:
         x_padded = x
-    windows = _sliding_windows(x_padded.data, kernel)  # (B, L_out, K, C_in)
-    out_data = np.einsum("blkc,kco->blo", windows, weight.data, optimize=True)
-    if bias is not None:
-        out_data = out_data + bias.data
-
-    b_out, l_out = out_data.shape[0], out_data.shape[1]
-    l_in = x_padded.shape[1]
+    batch, l_in, c_in = x_padded.shape
+    l_out = l_in - kernel + 1
+    if l_out < 1:
+        raise ValueError(f"conv1d: kernel {kernel} is longer than the padded series ({l_in})")
+    w = weight.data
+    c_out = w.shape[2]
+    rows = batch * l_in - kernel + 1
+    flat = x_padded.data.reshape(batch * l_in, c_in)
+    acc = np.empty((batch * l_in, c_out), dtype=np.result_type(flat.dtype, w.dtype))
+    np.dot(flat[:rows], w[0], out=acc[:rows])
+    for k in range(1, kernel):
+        acc[:rows] += flat[k : k + rows] @ w[k]
+    out_data = acc.reshape(batch, l_in, c_out)[:, :l_out]
+    out_data = out_data + bias.data if bias is not None else np.ascontiguousarray(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight._accumulate(np.einsum("blkc,blo->kco", windows, grad, optimize=True))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 1)))
+        if not (weight.requires_grad or x_padded.requires_grad):
+            return
+        spread = np.zeros((batch, l_in, c_out), dtype=grad.dtype)
+        spread[:, :l_out] = grad
+        g = spread.reshape(batch * l_in, c_out)[:rows]
+        if weight.requires_grad:
+            weight._accumulate(np.stack([flat[k : k + rows].T @ g for k in range(kernel)]))
         if x_padded.requires_grad:
-            grad_x = np.zeros((b_out, l_in, x_padded.shape[2]), dtype=grad.dtype)
-            contrib = np.einsum("blo,kco->blkc", grad, weight.data, optimize=True)
+            grad_x = np.zeros((batch * l_in, c_in), dtype=grad.dtype)
             for k in range(kernel):
-                grad_x[:, k : k + l_out, :] += contrib[:, :, k, :]
-            x_padded._accumulate(grad_x)
+                grad_x[k : k + rows] += g @ w[k].T
+            x_padded._accumulate(grad_x.reshape(batch, l_in, c_in))
 
     return Tensor._make(out_data, (x_padded, weight) + ((bias,) if bias is not None else ()), "conv1d", backward)
 

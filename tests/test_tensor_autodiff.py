@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, compute_dtype, functional as F, no_grad
+from repro.nn import GRUCell
+from repro.tensor import Tensor, compute_dtype, functional as F, inference_mode, no_grad
 from tests.helpers import check_gradients
 
 RNG = np.random.default_rng(7)
@@ -87,6 +88,16 @@ class TestReductions:
         a = Tensor(np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]]), requires_grad=True)
         check_gradients(lambda: a.min(axis=0).sum(), [a])
 
+    @pytest.mark.parametrize("axis", [None, 0, -1, (0, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_min_values_match_numpy(self, axis, keepdims):
+        a = Tensor(RNG.normal(size=(3, 4, 5)))
+        for op, reference in ((F.max, np.max), (F.min, np.min)):
+            out = op(a, axis=axis, keepdims=keepdims).data
+            expected = np.asarray(reference(a.data, axis=axis, keepdims=keepdims))
+            assert out.shape == expected.shape
+            np.testing.assert_array_equal(out, expected)
+
 
 class TestElementwise:
     @pytest.mark.parametrize(
@@ -153,6 +164,22 @@ class TestSoftmax:
         a = Tensor(np.array([[1000.0, 1000.0, 999.0]]))
         out = F.softmax(a, axis=-1)
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_max_matches_numpy_bit_for_bit(self, dtype):
+        for width in range(1, 71):
+            x = RNG.normal(size=(3, 5, width)).astype(dtype)
+            x[0, 0, RNG.integers(width)] = np.nan
+            x[0, 1] = -np.inf  # an all -inf row
+            x[1, 2, RNG.integers(width)] = np.inf
+            x[2, 3, RNG.integers(width)] = -np.inf
+            slot_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+            for a in (x, slot_major, x[:, ::2]):
+                out = F.row_max(a)
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out, a.max(axis=-1, keepdims=True))
+            for axis in (0, 1):
+                np.testing.assert_array_equal(F.row_max(x, axis), x.max(axis=axis, keepdims=True))
 
 
 class TestShapeOps:
@@ -232,6 +259,12 @@ class TestPadding:
         a = randt(2, 5, 3)
         check_gradients(lambda: (F.pad(a, ((0, 0), (2, 1), (0, 0)), mode=mode) ** 2).sum(), [a])
 
+    @pytest.mark.parametrize("before, after", [(5, 0), (0, 7), (4, 9)])
+    def test_wrap_pad_wider_than_series_grad(self, before, after):
+        a = randt(2, 3, 2)
+        w = Tensor(RNG.normal(size=(2, 3 + before + after, 2)))
+        check_gradients(lambda: (F.pad(a, ((0, 0), (before, after), (0, 0)), mode="wrap") * w).sum(), [a])
+
     def test_pad_shape(self):
         a = randt(2, 5, 3)
         out = F.pad(a, ((0, 0), (2, 3), (1, 0)))
@@ -260,6 +293,21 @@ class TestConvPool:
         out = F.conv1d(x, w, padding=1, padding_mode="wrap")
         assert out.shape == (1, 6, 2)
         check_gradients(lambda: (F.conv1d(x, w, padding=1, padding_mode="wrap") ** 2).sum(), [x, w])
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["constant", "edge", "wrap"])
+    def test_conv1d_matches_sliding_window_definition(self, kernel, padding, mode):
+        for length in (1, 6):
+            if kernel > length + 2 * padding:
+                continue
+            x, w, b = randt(3, length, 2), randt(kernel, 2, 4), randt(4)
+            padded = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)), mode=mode)
+            windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)  # (B, L_out, C, K)
+            expected = np.einsum("blck,kco->blo", windows, w.data) + b.data
+            out = F.conv1d(x, w, b, padding=padding, padding_mode=mode)
+            np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+            check_gradients(lambda: (F.conv1d(x, w, b, padding=padding, padding_mode=mode) ** 2).sum(), [x, w, b])
 
     def test_conv1d_matches_manual(self):
         x = Tensor(np.arange(5, dtype=float).reshape(1, 5, 1))
@@ -476,6 +524,55 @@ class TestFusedRecurrent:
         for t in range(length):
             h = F.gru_step(xp[:, t, :], h, whh, bhh)
             np.testing.assert_allclose(seq.data[:, t], h.data, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("length", [1, 2, 64])
+    def test_gru_scans_match_references(self, dtype, batch, length):
+        """Both scan branches against the op-by-op cell and unrolled
+        gru_step; the tape-free scan equals the taped one bit for bit."""
+        cell = GRUCell(3, self.HIDDEN, rng=np.random.default_rng(length))
+        cell.bias_hh.data[...] = RNG.normal(size=3 * self.HIDDEN) * 0.3  # exercise the ones row
+        cell.to_dtype(dtype)
+        with compute_dtype(dtype):
+            x = Tensor(RNG.normal(size=(batch, length, 3)))
+            h0 = Tensor(RNG.normal(size=(batch, self.HIDDEN)))
+            with F.fused_ops(True):
+                taped, taped_h = cell(x, h0)
+                with inference_mode():
+                    fast, fast_h = cell(x, h0)
+            with F.fused_ops(False):
+                unfused, _ = cell(x, h0)
+            x_proj = x @ cell.weight_ih + cell.bias_ih
+            h, steps = h0, []
+            for t in range(length):
+                h = F.gru_step(x_proj[:, t, :], h, cell.weight_hh, cell.bias_hh)
+                steps.append(h.data)
+        assert taped.data.dtype == fast.data.dtype == dtype
+        np.testing.assert_array_equal(fast.data, taped.data)
+        np.testing.assert_array_equal(fast_h.data, taped_h.data)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(taped.data, unfused.data, atol=tol)
+        np.testing.assert_allclose(taped.data, np.stack(steps, axis=1), atol=tol)
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("length", [1, 2, 64])
+    def test_gru_sequence_grads_match_unfused(self, batch, length):
+        cell = GRUCell(3, self.HIDDEN, rng=np.random.default_rng(length))
+        cell.bias_hh.data[...] = RNG.normal(size=3 * self.HIDDEN) * 0.3
+        x = Tensor(RNG.normal(size=(batch, length, 3)), requires_grad=True)
+        h0 = Tensor(RNG.normal(size=(batch, self.HIDDEN)), requires_grad=True)
+        weights = Tensor(RNG.normal(size=(batch, length, self.HIDDEN)))
+        grads = []
+        for fused in (True, False):
+            tensors = [x, h0] + list(cell.parameters())
+            for tensor in tensors:
+                tensor.zero_grad()
+            with F.fused_ops(fused):
+                (cell(x, h0)[0] * weights).sum().backward()
+            grads.append([tensor.grad.copy() for tensor in tensors])
+        for fused_grad, unfused_grad in zip(*grads):
+            np.testing.assert_allclose(fused_grad, unfused_grad, rtol=1e-10, atol=1e-12)
 
     def test_lstm_sequence_matches_unrolled_steps(self):
         length = 4
