@@ -16,6 +16,7 @@ from _common import format_table, save_and_print
 from repro.data import load_dataset
 from repro.eval import blend_uncertainty, evaluate_bands
 from repro.tensor import Tensor, no_grad
+from repro.tensor.random import seed_everything
 from repro.training import Trainer, active_profile, build_model, make_loaders
 
 LAMBDAS = [0.95, 0.9, 0.8]
@@ -23,6 +24,9 @@ PAPER_HORIZONS = [96, 384]
 
 
 def train_and_sample(paper_horizon):
+    # the figures must not depend on what earlier modules drew from the
+    # global generator, which the model's dropout and flow seeds come from
+    seed_everything(0)
     settings = active_profile()
     pred_len = settings.scaled_pred_len(paper_horizon)
     dataset = load_dataset("ettm1", n_points=settings.n_points)

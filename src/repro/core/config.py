@@ -39,7 +39,6 @@ class ConformerConfig:
     enc_rnn_layers: int = 1  # GRU depth (paper: 1-layer enc, 2-layer dec)
     dec_rnn_layers: int = 2
     dropout: float = 0.05
-    activation: str = "gelu"
 
     # normalizing flow
     n_flows: int = 2  # T, number of transformations

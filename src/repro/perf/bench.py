@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -68,40 +68,55 @@ def _training_step(model, optimizer, batch, grad_clip: float = 5.0) -> float:
     return float(loss.item())
 
 
-def time_training_step(
-    fused: bool,
+def time_training_steps(
+    modes: Sequence[bool],
     repeats: int = 5,
     warmup: int = 1,
     settings: Optional[ExperimentSettings] = None,
     seed: int = 0,
-) -> dict:
-    """Median seconds per training step plus a tape-node profile."""
+) -> List[dict]:
+    """Median seconds per training step plus a tape-node profile, one
+    dict per entry of ``modes`` (``fused_ops`` on or off).
+
+    Each mode trains its own model.  The timed steps alternate between
+    the modes (A, B, A, B, ...), so load from other processes falls on
+    every mode alike and a ratio of their medians stays steady.
+    """
     settings = settings if settings is not None else canonical_settings()
-    with F.fused_ops(fused):
-        model, batch = _model_and_batch(settings, seed=seed)
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        for _ in range(warmup):
-            _training_step(model, optimizer, batch)
-        times = []
-        for _ in range(repeats):
-            start = perf_counter()
-            _training_step(model, optimizer, batch)
-            times.append(perf_counter() - start)
+    arms = []
+    for fused in modes:
+        with F.fused_ops(fused):
+            model, batch = _model_and_batch(settings, seed=seed)
+            optimizer = Adam(model.parameters(), lr=1e-3)
+            for _ in range(warmup):
+                _training_step(model, optimizer, batch)
+        arms.append((fused, model, optimizer, batch, []))
+    for _ in range(repeats):
+        for fused, model, optimizer, batch, times in arms:
+            with F.fused_ops(fused):
+                start = perf_counter()
+                _training_step(model, optimizer, batch)
+                times.append(perf_counter() - start)
+    results = []
+    for fused, model, optimizer, batch, times in arms:
         # profiled step kept out of the timing loop: hooks add overhead
-        with profile() as prof:
+        with F.fused_ops(fused), profile() as prof:
             loss = _training_step(model, optimizer, batch)
-    return {
-        "seconds_per_step": float(np.median(times)),
-        "seconds_per_step_mean": float(np.mean(times)),
-        "steps_timed": repeats,
-        "tape_nodes_per_step": prof.total_nodes,
-        "backward_seconds": prof.total_backward_seconds,
-        "top_ops": [
-            {"op": op, "tape_nodes": count, "backward_seconds": seconds}
-            for op, count, seconds in prof.top_ops(10)
-        ],
-        "final_loss": loss,
-    }
+        results.append(
+            {
+                "seconds_per_step": float(np.median(times)),
+                "seconds_per_step_mean": float(np.mean(times)),
+                "steps_timed": repeats,
+                "tape_nodes_per_step": prof.total_nodes,
+                "backward_seconds": prof.total_backward_seconds,
+                "top_ops": [
+                    {"op": op, "tape_nodes": count, "backward_seconds": seconds}
+                    for op, count, seconds in prof.top_ops(10)
+                ],
+                "final_loss": loss,
+            }
+        )
+    return results
 
 
 def run_autodiff_benchmark(
@@ -124,10 +139,11 @@ def run_autodiff_benchmark(
             "pred_len": 12,
             **{k: v for k, v in asdict(settings).items() if not isinstance(v, dict)},
         },
-        "fused": time_training_step(True, repeats=repeats, warmup=warmup, settings=settings),
     }
+    arms = ("fused", "unfused") if include_unfused else ("fused",)
+    timed = time_training_steps([arm == "fused" for arm in arms], repeats=repeats, warmup=warmup, settings=settings)
+    result.update(zip(arms, timed))
     if include_unfused:
-        result["unfused"] = time_training_step(False, repeats=repeats, warmup=warmup, settings=settings)
         result["speedup"] = result["unfused"]["seconds_per_step"] / result["fused"]["seconds_per_step"]
         result["tape_node_reduction"] = (
             result["unfused"]["tape_nodes_per_step"] / result["fused"]["tape_nodes_per_step"]

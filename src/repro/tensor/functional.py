@@ -13,8 +13,8 @@ import math
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special as sp_special
 
+from repro.tensor import special
 from repro.tensor import tensor as _engine
 from repro.tensor.arena import get_arena
 from repro.tensor.tensor import Tensor, ensure_tensor
@@ -178,7 +178,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = sp_special.expit(x.data)
+    out_data = special.expit(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -226,13 +226,13 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * sp_special.expit(x.data))
+            x._accumulate(grad * special.expit(x.data))
 
     return Tensor._make(out_data, (x,), "softplus", backward)
 
 
 def erf(x: Tensor) -> Tensor:
-    out_data = sp_special.erf(x.data)
+    out_data = special.erf(x.data)
     deriv = 2.0 / math.sqrt(math.pi) * np.exp(-x.data ** 2)
 
     def backward(grad: np.ndarray) -> None:
@@ -244,7 +244,7 @@ def erf(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
-    phi = 0.5 * (1.0 + sp_special.erf(x.data / math.sqrt(2.0)))
+    phi = 0.5 * (1.0 + special.erf(x.data / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x.data ** 2) / math.sqrt(2.0 * math.pi)
     out_data = x.data * phi
     deriv = phi + x.data * pdf
@@ -556,8 +556,8 @@ def gru_step(x_gates: Tensor, h: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> 
     hidden = h.shape[-1]
     gh = h.data @ weight_hh.data + bias_hh.data
     gx = x_gates.data
-    r = sp_special.expit(gx[:, :hidden] + gh[:, :hidden])
-    z = sp_special.expit(gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])
+    r = special.expit(gx[:, :hidden] + gh[:, :hidden])
+    z = special.expit(gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])
     nh = gh[:, 2 * hidden :]
     n = np.tanh(gx[:, 2 * hidden :] + r * nh)
     out_data = (1.0 - z) * n + z * h.data
@@ -592,10 +592,10 @@ def lstm_step(x_gates: Tensor, h: Tensor, c: Tensor, weight_hh: Tensor, bias_hh:
     """
     hidden = h.shape[-1]
     gates = x_gates.data + h.data @ weight_hh.data + bias_hh.data
-    i = sp_special.expit(gates[:, :hidden])
-    f = sp_special.expit(gates[:, hidden : 2 * hidden])
+    i = special.expit(gates[:, :hidden])
+    f = special.expit(gates[:, hidden : 2 * hidden])
     g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-    o = sp_special.expit(gates[:, 3 * hidden :])
+    o = special.expit(gates[:, 3 * hidden :])
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
     out_data = np.concatenate([o * tc, c_new], axis=-1)
@@ -649,32 +649,46 @@ def _gru_scan(
     """Lay the inputs out gate-major in ``xt``, ``w_aug`` and ``hs[0]``,
     then run the recurrence, writing every hidden state into ``hs[1:]``.
 
-    The gate buffers ``gh`` (recurrent pre-activations), ``rz`` (reset and
-    update gates) and ``n`` (candidate) have a leading axis of L, to keep
-    every step for the backward, or of 1, to reuse one slot.
+    The gate buffers ``gh`` (recurrent pre-activations, the reset and
+    update rows negated), ``rz`` (reset and update gates) and ``n``
+    (candidate) have a leading axis of L, to keep every step for the
+    backward, or of 1, to reuse one slot.
     """
     hidden = n.shape[1]
-    xt[...] = x_proj.data.transpose(1, 2, 0)
+    x_data = x_proj.data.transpose(1, 2, 0)
+    # The reset and update rows of xt and w_aug are stored negated.
+    # Negation is exact, so a step's dot and add give -(pre-activation)
+    # bit for bit, and the gates are 1 / (1 + exp(that)) in three ufuncs
+    # in place.  Only rz and gh's candidate rows are read back.
+    np.negative(x_data[:, : 2 * hidden], out=xt[:, : 2 * hidden])
+    xt[:, 2 * hidden :] = x_data[:, 2 * hidden :]
     w_aug[:, :hidden] = weight_hh.data.T
     w_aug[:, hidden] = bias_hh.data
+    np.negative(w_aug[: 2 * hidden], out=w_aug[: 2 * hidden])
     hs[0, :hidden] = h0.data.T
     hs[:, hidden] = 1
     h = hs[:, :hidden]
+    # a 0-d operand: a Python 1 would be converted on every call
+    one = np.ones((), dtype=rz.dtype)
     # every view a step touches is made here: indexing inside the loop
     # would cost a large share of a step on blocks this small
     gates = list(zip(gh, gh[:, : 2 * hidden], gh[:, 2 * hidden :], rz, rz[:, :hidden], rz[:, hidden:], n))
     steps = zip(xt[:, : 2 * hidden], xt[:, 2 * hidden :], hs, h, h[1:], itertools.cycle(gates))
-    for x_rz, x_n, h_aug, h_prev, h_next, (g, g_rz, g_n, rz_t, r, z, c) in steps:
-        np.dot(w_aug, h_aug, out=g)
-        np.add(x_rz, g_rz, out=rz_t)
-        sp_special.expit(rz_t, out=rz_t)
-        np.multiply(r, g_n, out=c)
-        c += x_n
-        np.tanh(c, out=c)
-        # h_new = n + z * (h - n), written straight into the next state
-        np.subtract(h_prev, c, out=h_next)
-        h_next *= z
-        h_next += c
+    # exp overflows to inf where a gate's exact value rounds to 0
+    with np.errstate(over="ignore"):
+        for x_rz, x_n, h_aug, h_prev, h_next, (g, g_rz, g_n, rz_t, r, z, c) in steps:
+            np.dot(w_aug, h_aug, out=g)
+            np.add(x_rz, g_rz, out=rz_t)
+            np.exp(rz_t, out=rz_t)
+            np.add(rz_t, one, out=rz_t)
+            np.reciprocal(rz_t, out=rz_t)
+            np.multiply(r, g_n, out=c)
+            c += x_n
+            np.tanh(c, out=c)
+            # h_new = n + z * (h - n), written straight into the next state
+            np.subtract(h_prev, c, out=h_next)
+            h_next *= z
+            h_next += c
 
 
 def _gru_sequence_inference(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
@@ -821,9 +835,9 @@ def _lstm_sequence_inference(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: 
         np.dot(h, w_hh, out=gates)
         gates += b_hh
         gates += xp[:, t]
-        sp_special.expit(gates[:, : 2 * hidden], out=gates[:, : 2 * hidden])
+        special.expit(gates[:, : 2 * hidden], out=gates[:, : 2 * hidden])
         np.tanh(g, out=g)
-        sp_special.expit(o, out=o)
+        special.expit(o, out=o)
         # c = f * c + i * g;  h = o * tanh(c)
         c *= f
         np.multiply(i, g, out=tmp)
@@ -867,10 +881,10 @@ def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bia
     h, c = h_all[0], c_all[0]
     for t in range(length):
         gates = xp[:, t] + h @ w_hh + b_hh
-        i = sp_special.expit(gates[:, :hidden])
-        f = sp_special.expit(gates[:, hidden : 2 * hidden])
+        i = special.expit(gates[:, :hidden])
+        f = special.expit(gates[:, hidden : 2 * hidden])
         g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o = sp_special.expit(gates[:, 3 * hidden :])
+        o = special.expit(gates[:, 3 * hidden :])
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc

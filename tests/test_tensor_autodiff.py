@@ -1,5 +1,7 @@
 """Unit tests for the autodiff engine: every op vs finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -554,6 +556,27 @@ class TestFusedRecurrent:
         tol = 1e-12 if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(taped.data, unfused.data, atol=tol)
         np.testing.assert_allclose(taped.data, np.stack(steps, axis=1), atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gru_scans_saturated_gates(self, dtype):
+        """Pre-activations far beyond exp's range: the scans' folded-sign
+        gates overflow to exactly 0 silently, as the expit kernel does."""
+        cell = GRUCell(3, self.HIDDEN, rng=np.random.default_rng(5))
+        for param in cell.parameters():
+            param.data *= 1e3
+        cell.to_dtype(dtype)
+        with compute_dtype(dtype), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = Tensor(RNG.normal(size=(3, 8, 3)))
+            with F.fused_ops(True):
+                taped, _ = cell(x)
+                with inference_mode():
+                    fast, _ = cell(x)
+            with F.fused_ops(False):
+                unfused, _ = cell(x)
+        assert np.all(np.isfinite(taped.data))
+        np.testing.assert_array_equal(fast.data, taped.data)
+        np.testing.assert_allclose(taped.data, unfused.data, atol=1e-12 if dtype == np.float64 else 1e-5)
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
     @pytest.mark.parametrize("length", [1, 2, 64])
