@@ -24,7 +24,7 @@ def _conformer(input_len, label_len, pred_len):
     return Conformer(ConformerConfig(
         enc_in=ENC_IN, dec_in=ENC_IN, c_out=ENC_IN,
         input_len=input_len, label_len=label_len, pred_len=pred_len,
-        d_model=D_MODEL, n_heads=HEADS, d_ff=32, moving_avg=13, d_time=D_TIME, dropout=0.0,
+        d_model=D_MODEL, n_heads=HEADS, moving_avg=13, d_time=D_TIME, dropout=0.0,
     ))
 
 

@@ -43,7 +43,6 @@ def main():
         pred_len=PRED_LEN,
         d_model=16,
         n_heads=2,
-        d_ff=32,
         moving_avg=13,
         window=2,          # paper default
         lambda_weight=0.8,  # paper default

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts.spec import Violation
+from repro.analysis.contracts.spec import Violation, contract_of
 from repro.analysis.contracts.symbolic import (
     Dim,
     SymExpr,
@@ -167,13 +167,7 @@ class AbstractTensor(Tensor):
         rhs_sym = trace.sym_of(rhs) if trace else None
         out_sym = None
         if lhs_sym is not None and rhs_sym is not None and len(lhs_sym) >= 2 and len(rhs_sym) >= 2:
-            if entry_value(lhs_sym[-1]) != entry_value(rhs_sym[-2]):
-                raise ContractTraceError(
-                    "matmul",
-                    f"inner dimensions disagree: {render_shape(lhs_sym)} @ {render_shape(rhs_sym)} "
-                    f"({lhs_sym[-1]} vs {rhs_sym[-2]})",
-                    shapes=(lhs_sym, rhs_sym),
-                )
+            _check_inner_dims("matmul", lhs_sym, rhs_sym)
             try:
                 batch = broadcast_sym_shapes(lhs_sym[:-2], rhs_sym[:-2])
                 out_sym = batch + (lhs_sym[-2], rhs_sym[-1])
@@ -259,6 +253,17 @@ class AbstractTensor(Tensor):
         if trace is None:
             return out
         return trace.wrap(out, as_sym_shape(shape))
+
+
+def _check_inner_dims(op: str, lhs_sym: Tuple, rhs_sym: Tuple) -> None:
+    """Raise the symbolic finding for ``lhs @ rhs`` with mismatched inner dims."""
+    if entry_value(lhs_sym[-1]) != entry_value(rhs_sym[-2]):
+        raise ContractTraceError(
+            op,
+            f"inner dimensions disagree: {render_shape(lhs_sym)} @ {render_shape(rhs_sym)} "
+            f"({lhs_sym[-1]} vs {rhs_sym[-2]})",
+            shapes=(lhs_sym, rhs_sym),
+        )
 
 
 def _getitem_sym(sym_shape, index, out_shape) -> Optional[Tuple]:
@@ -362,6 +367,10 @@ def _wrap_functional(trace: "Trace", name: str, orig: Callable) -> Callable:
     def wrapped(*args, **kwargs):
         if _ACTIVE is not trace or not _has_abstract(args, kwargs):
             return orig(*args, **kwargs)
+        if name == "linear":
+            # checked before the kernel runs: numpy's own error would name
+            # the flattened probe rows instead of the symbolic operands
+            _check_inner_dims(name, trace.sym_of(args[0]), trace.sym_of(_arg(args, kwargs, 1, "weight", None)))
         try:
             out = orig(*args, **kwargs)
         except ContractTraceError:
@@ -417,7 +426,7 @@ def _traced_module_call(self, *args, **kwargs):
         trace.stack.pop()
     trace.record_module(name, self, args, out)
     forward = type(self).forward
-    contract = getattr(forward, "__shape_contract__", None)
+    contract = contract_of(forward)
     if contract is not None:
         for violation in contract.verify(forward, (self,) + args, kwargs, out, trace.env, trace.sym_of):
             trace.add(
@@ -656,6 +665,8 @@ def _rule(trace: Trace, op: str, args, kwargs, out_data) -> Optional[Tuple]:
         if weights is None or v is None:
             return None
         return tuple(weights[:-1]) + (v[-1],)  # (B, H, L, w+1), (B, H, L, d) -> (B, H, L, d)
+    if op == "linear" and isinstance(args[0], AbstractTensor):
+        return args[0].sym[:-1] + (trace.sym_of(_arg(args, kwargs, 1, "weight", None))[-1],)
     if op == "gru_sequence" and isinstance(args[0], AbstractTensor):
         s = args[0].sym
         return (s[0], s[1], sym(s[2]) // 3)

@@ -20,8 +20,13 @@ The output spec may be a tuple of specs for tuple-returning forwards;
 ``None`` entries are unchecked (optional outputs, e.g. Conformer's flow
 head which is absent when flows are disabled).
 
-The decorator only attaches metadata (``fn.__shape_contract__``) — there
-is zero runtime overhead outside a contract trace.
+Model code applies the lightweight :func:`repro.markers.shape_contract`,
+which only stores the raw spec (``fn.__shape_contract__``), so importing a
+model never loads this package; :func:`contract_of` parses and validates
+that spec into a :class:`ShapeContract` the first time a trace reads it.
+:func:`shape_contract` here is the eager variant: it parses and validates
+at decoration time and attaches the parsed contract.  Either way there is
+zero runtime overhead outside a contract trace.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import markers
 from repro.analysis.contracts.symbolic import (
     ShapeEntry,
     SymExpr,
@@ -44,6 +50,7 @@ __all__ = [
     "ContractError",
     "ShapeContract",
     "Violation",
+    "contract_of",
     "shape_contract",
 ]
 
@@ -53,7 +60,7 @@ KINDS = ("shape_mismatch", "dtype_drift", "broadcast_surprise", "trace_error")
 
 
 class ContractError(ValueError):
-    """A malformed contract declaration (caught at decoration time)."""
+    """A malformed contract declaration (caught when the spec is parsed)."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def _normalize_shape(spec) -> _Shape:
         elif isinstance(entry, str) and entry.strip():
             text = entry.strip()
             if not text.isidentifier():
-                _parse_entry_ast(text)  # validate eagerly, at decoration time
+                _parse_entry_ast(text)  # validate when parsed, not at first use
             out.append(text)
         else:
             raise ContractError(f"bad shape entry: {entry!r}")
@@ -280,16 +287,32 @@ class ShapeContract:
 
 
 def shape_contract(inputs: Optional[Mapping[str, object]] = None, output=None):
-    """Attach a :class:`ShapeContract` to a forward method.
+    """Attach a :class:`ShapeContract` to a forward method, parsed and
+    validated at decoration time (a malformed spec raises
+    :class:`ContractError` here).
 
     Verified only inside a contract trace (``repro.cli check`` /
     :func:`repro.analysis.contracts.trace_module`); free otherwise.
     """
-    contract = ShapeContract(inputs, output)
 
     def decorate(fn):
-        contract.validate_signature(fn)
-        fn.__shape_contract__ = contract
+        contract_of(markers.shape_contract(inputs, output)(fn))
         return fn
 
     return decorate
+
+
+def contract_of(fn: Callable) -> Optional[ShapeContract]:
+    """The parsed contract declared on ``fn``, or None when it has none.
+
+    A raw spec left by :func:`repro.markers.shape_contract` is parsed and
+    checked against ``fn``'s signature here, once, and the result replaces
+    it on ``fn``; a malformed spec raises :class:`ContractError`.
+    """
+    declared = getattr(fn, "__shape_contract__", None)
+    if declared is None or isinstance(declared, ShapeContract):
+        return declared
+    contract = ShapeContract(declared["inputs"], declared["output"])
+    contract.validate_signature(fn)
+    fn.__shape_contract__ = contract
+    return contract

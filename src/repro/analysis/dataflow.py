@@ -49,6 +49,7 @@ from repro.analysis.lint import (
     iter_python_files,
     package_relative,
 )
+from repro.markers import inference_entry  # noqa: F401  (re-exported)
 
 RULE_ARENA_ESCAPE = "dataflow-arena-escape"
 RULE_IMPURE_PREDICT = "dataflow-impure-predict"
@@ -63,6 +64,7 @@ ENTRY_PREFIXES = ("predict", "evaluate")
 #: ``backward()`` tape walks; unlike name-matched entries they may write
 #: their own bookkeeping state (queues, caches, counters) — serving
 #: machinery is stateful by design, the *numeric* path must stay pure.
+#: The decorator itself lives in :mod:`repro.markers`.
 ENTRY_DECORATORS = frozenset({"inference_entry"})
 
 #: purity facets (see :func:`analyze_purity`)
@@ -712,20 +714,6 @@ def analyze_purity(graph: CallGraph) -> List[Finding]:
                     "sharing this module would corrupt each other",
                 ))
     return [finding for _, finding in seen.values()]
-
-
-def inference_entry(fn):
-    """Mark a function as an inference-purity entry point for
-    ``lint --dataflow`` (see :data:`ENTRY_DECORATORS`).
-
-    The runtime effect is a marker attribute only — the static pass
-    matches the decorator *name* in the AST.  Apply it to serving
-    request-path functions (``submit``, ``forecast_batch``) so their
-    whole call closure is checked for global-RNG draws and ``backward()``
-    exactly like a ``predict*`` method.
-    """
-    fn.__inference_entry__ = True
-    return fn
 
 
 def _keep(seen: Dict, key: Tuple, chain: List[str], finding: Finding) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.contracts.spec import shape_contract
+from repro.markers import shape_contract
 from repro.nn import Module
 from repro.tensor import Tensor, functional as F
 

@@ -30,7 +30,6 @@ class ConformerConfig:
     n_heads: int = 8
     e_layers: int = 2
     d_layers: int = 1
-    d_ff: int = 64
     window: int = 2  # sliding-window attention size w
     moving_avg: int = 25  # series-decomposition kernel
     decomp_kind: str = "ma"  # "ma" (Eq. 9 moving average) | "stl" (loess trend)

@@ -13,11 +13,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts.spec import shape_contract
 from repro.core.config import ConformerConfig
 from repro.core.flow import NormalizingFlow
 from repro.core.input_repr import InputRepresentation
 from repro.core.sirn import SIRNDecoder, SIRNEncoder
+from repro.markers import shape_contract
 from repro.nn import Module
 from repro.tensor import Tensor, functional as F, get_arena, inference_mode
 from repro.tensor.random import spawn_rng

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.contracts.spec import shape_contract
+from repro.markers import shape_contract
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, functional as F, get_arena, get_default_dtype, is_inference_mode, plan_cache

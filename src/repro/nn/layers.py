@@ -28,10 +28,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Conv1d(Module):

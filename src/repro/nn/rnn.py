@@ -35,7 +35,7 @@ class GRUCell(Module):
         hidden = self.hidden_size
         # zeros follow the input dtype so a float32 pass stays float32
         h = h0 if h0 is not None else Tensor(np.zeros((batch, hidden), dtype=x.data.dtype))
-        x_proj = x @ self.weight_ih + self.bias_ih  # (B, L, 3H)
+        x_proj = F.linear(x, self.weight_ih, self.bias_ih)  # (B, L, 3H)
         if F.fused_ops_enabled():
             # whole scan = one tape node with a hand-written BPTT backward
             outputs = F.gru_sequence(x_proj, h, self.weight_hh, self.bias_hh)
@@ -63,7 +63,7 @@ class GRUCell(Module):
 
     def step(self, x_t: Tensor, h: Tensor) -> Tensor:
         """Advance one timestep (B, C) -> (B, H) via the fused kernel."""
-        x_gates = x_t @ self.weight_ih + self.bias_ih
+        x_gates = F.linear(x_t, self.weight_ih, self.bias_ih)
         return F.gru_step(x_gates, h, self.weight_hh, self.bias_hh)
 
 
@@ -117,7 +117,7 @@ class LSTMCell(Module):
             c = Tensor(np.zeros((batch, hidden), dtype=x.data.dtype))
         else:
             h, c = state
-        x_proj = x @ self.weight_ih + self.bias_ih
+        x_proj = F.linear(x, self.weight_ih, self.bias_ih)
         if F.fused_ops_enabled():
             hc = F.lstm_sequence(x_proj, h, c, self.weight_hh, self.bias_hh)  # (B, L, 2H)
             outputs = hc[:, :, :hidden]
@@ -145,7 +145,7 @@ class LSTMCell(Module):
     def step(self, x_t: Tensor, h: Tensor, c: Tensor) -> Tuple[Tensor, Tensor]:
         """Advance one timestep; returns (h_new, c_new) via the fused kernel."""
         hidden = self.hidden_size
-        x_gates = x_t @ self.weight_ih + self.bias_ih
+        x_gates = F.linear(x_t, self.weight_ih, self.bias_ih)
         hc = F.lstm_step(x_gates, h, c, self.weight_hh, self.bias_hh)
         return hc[:, :hidden], hc[:, hidden:]
 

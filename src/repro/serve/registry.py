@@ -35,8 +35,8 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.analysis.dataflow import inference_entry
 from repro.ckpt.manager import CheckpointManager
+from repro.markers import inference_entry
 from repro.tensor import Tensor, compute_dtype, inference_mode
 
 __all__ = ["ENGINE_LOCK", "ServingSpec", "ModelVersion", "ModelRegistry"]

@@ -36,7 +36,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.analysis.dataflow import inference_entry
+from repro.markers import inference_entry
 from repro.obs import MetricRegistry, RunLogger
 from repro.serve.batcher import ForecastResponse, PendingRequest
 from repro.serve.cache import ForecastCache

@@ -539,6 +539,42 @@ def einsum(subscripts: str, *operands: Tensor, optimize=True) -> Tensor:
 
 
 # ----------------------------------------------------------------------
+# affine map
+# ----------------------------------------------------------------------
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` on the last axis as ONE tape node.
+
+    The leading axes are flattened to (N, in) rows, so the forward is one
+    2-D GEMM with the bias added in place, and the backward is two 2-D
+    GEMMs plus a row sum.  Unlike ``x @ weight + bias`` (a matmul node and
+    an add node), nothing is saved beyond the references to the operands:
+    the ``x @ weight`` intermediate is never kept.
+    """
+    w = weight.data
+    n_in, n_out = w.shape
+    out_data = np.dot(x.data.reshape(-1, n_in), w)
+    if bias is not None:
+        b = bias.data
+        if np.result_type(out_data, b) == out_data.dtype:
+            out_data += b
+        else:
+            out_data = out_data + b  # keep the promotion visible to dtype checks
+    out_data = out_data.reshape(x.data.shape[:-1] + (n_out,))
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(-1, n_out)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if weight.requires_grad:
+            weight._accumulate(np.dot(x.data.reshape(-1, n_in).T, g))
+        if x.requires_grad:
+            x._accumulate(np.dot(g, w.T).reshape(x.data.shape))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out_data, parents, "linear", backward)
+
+
+# ----------------------------------------------------------------------
 # fused recurrent kernels
 # ----------------------------------------------------------------------
 # One tape node per GRU/LSTM timestep (``*_step``) or per whole scan
@@ -1189,10 +1225,17 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     if not training or p <= 0.0:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
+    # a bool mask (1 byte per element) and a 0-d scale: x * mask * scale is
+    # bit-identical to scaling by a float mask of 0 or 1/keep
+    mask = rng.random(x.shape) < keep
+    scale = np.ones((), dtype=x.data.dtype) / keep
+    out_data = x.data * mask
+    out_data *= scale
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            g = grad * mask
+            g *= scale
+            x._accumulate(g)
 
-    return Tensor._make(x.data * mask, (x,), "dropout", backward)
+    return Tensor._make(out_data, (x,), "dropout", backward)

@@ -2,7 +2,8 @@
 
 Each differentiable operation records its parents and a closure that
 propagates the output gradient back to them.  ``Tensor.backward()`` walks
-the resulting DAG in reverse topological order.  Gradients follow numpy
+the resulting DAG in reverse topological order and releases each op
+output's closure and parents as it goes.  Gradients follow numpy
 broadcasting semantics: a gradient flowing into a broadcasted operand is
 summed over the broadcast axes (see :func:`unbroadcast`).
 """
@@ -356,10 +357,26 @@ class Tensor:
             self.grad = self.grad + g
             self._grad_owned = True
 
+    def _released(self) -> bool:
+        """Whether this is an op output whose tape entry a backward consumed."""
+        return self._backward is None and self._op != ""
+
     def backward(self, grad: Optional[Arrayable] = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape.
+
+        The walk consumes the graph: as soon as an op output's backward has
+        run, its closure (and the activations it saved), its parent links
+        and its ``.grad`` are dropped, so the tape's memory is returned
+        while the walk proceeds.  Leaves keep their accumulated ``.grad``.
+        A second ``backward()`` through any part of a consumed graph raises
+        ``RuntimeError`` naming the op.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
+        if self._released():
+            raise RuntimeError(
+                f"backward() through the '{self._op}' output a previous backward() already freed"
+            )
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
@@ -385,23 +402,39 @@ class Tensor:
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
+                    if parent._released():
+                        raise RuntimeError(
+                            f"backward() reached the '{parent._op}' output a previous "
+                            "backward() already freed"
+                        )
                     stack.append((parent, False))
 
         self._accumulate(seed)
         hook = _BACKWARD_HOOK
         sanitizer = _SANITIZER
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Popping (not iterating) leaves ``topo`` without a reference to a
+        # node once it is processed; releasing its closure and parents then
+        # frees every saved activation nothing else holds.
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue  # a leaf: its grad is the result
+            if node.grad is not None:
                 if sanitizer is not None:
                     # lets the sanitizer attribute a bad gradient to the op
                     # whose backward closure manufactured it
                     sanitizer.current_producer = node._op
                 if hook is None:
-                    node._backward(node.grad)
+                    backward(node.grad)
                 else:
                     start = perf_counter()
-                    node._backward(node.grad)
+                    backward(node.grad)
                     hook(node._op, perf_counter() - start)
+            node._backward = None
+            node._parents = ()
+            node.grad = None
+            node._grad_owned = False
         if sanitizer is not None:
             sanitizer.current_producer = None
 

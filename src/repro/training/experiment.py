@@ -124,7 +124,6 @@ def _build_conformer(enc_in: int, c_out: int, pred_len: int, s: ExperimentSettin
         n_heads=s.n_heads,
         e_layers=s.e_layers,
         d_layers=s.d_layers,
-        d_ff=s.d_ff,
         window=s.window,
         moving_avg=s.moving_avg,
         dropout=s.dropout,

@@ -16,7 +16,7 @@ class TestMeasureModel:
         return Conformer(ConformerConfig(
             enc_in=3, dec_in=3, c_out=3,
             input_len=input_len, label_len=label_len, pred_len=pred_len,
-            d_model=8, n_heads=2, d_ff=16, moving_avg=5, d_time=4, dropout=0.0,
+            d_model=8, n_heads=2, moving_avg=5, d_time=4, dropout=0.0,
         ))
 
     def test_returns_points_per_length(self):

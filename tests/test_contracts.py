@@ -7,9 +7,16 @@ criteria require, and the two new lint rules it ships with
 (``inference-mode-required``, ``noqa-unused``).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro import markers
 from repro.analysis.contracts import (
     AbstractTensor,
     ContractError,
@@ -25,6 +32,7 @@ from repro.analysis.contracts import (
     trace_module,
 )
 from repro.analysis.contracts.checker import GEOMETRIES, _build
+from repro.analysis.contracts.spec import contract_of
 from repro.analysis.lint import LintConfig, lint_paths
 from repro.nn import Linear, Module
 from repro.tensor import Tensor, functional as F
@@ -129,6 +137,38 @@ class TestShapeContractDecorator:
         ).__shape_contract__
         assert contract.multi_output
         assert contract.outputs[1] is None
+
+
+class TestMarkers:
+    """Model code uses ``repro.markers``: the raw spec is parsed only when
+    a trace reads it, so ``import repro`` never loads ``repro.analysis``."""
+
+    def test_engine_import_does_not_load_analysis(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, repro, repro.serve; print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_raw_spec_is_parsed_when_traced(self):
+        class Marked(_Toy):
+            @markers.shape_contract(inputs={"x": "B L 8"}, output="B L 5")
+            def forward(self, x):
+                return F.relu(self.lin(x))
+
+        assert Marked.forward.__shape_contract__ == {"inputs": {"x": "B L 8"}, "output": "B L 5"}
+        B = Dim("B", size=11, free=True)
+        trace = trace_module(Marked(), (_abstract((B, 6, 8)),), env={"B": B}, free_dims=(B,))
+        assert [v.kind for v in trace.violations] == ["shape_mismatch"]
+        assert "expected 5" in trace.violations[0].message
+        assert contract_of(Marked.forward) is Marked.forward.__shape_contract__
+        assert Marked.forward.__shape_contract__.outputs == (("B", "L", "5"),)
+
+    def test_malformed_raw_spec_raises_when_read(self):
+        forward = markers.shape_contract(inputs={"nope": "B"})(lambda self, x: x)
+        with pytest.raises(ContractError):
+            contract_of(forward)
+        assert contract_of(lambda self, x: x) is None
 
 
 # ----------------------------------------------------------------------

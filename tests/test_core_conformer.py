@@ -36,7 +36,6 @@ def tiny_config(**overrides):
         n_heads=2,
         e_layers=2,
         d_layers=1,
-        d_ff=16,
         moving_avg=5,
         d_time=3,
         dropout=0.0,

@@ -22,7 +22,6 @@ def nll_config(**overrides):
         pred_len=6,
         d_model=8,
         n_heads=2,
-        d_ff=16,
         moving_avg=5,
         d_time=3,
         dropout=0.0,

@@ -93,7 +93,7 @@ class TestConformerWithSTL:
 
         cfg = ConformerConfig(
             enc_in=3, dec_in=3, c_out=3, input_len=16, label_len=8, pred_len=4,
-            d_model=8, n_heads=2, d_ff=16, d_time=2, dropout=0.0,
+            d_model=8, n_heads=2, d_time=2, dropout=0.0,
             decomp_kind="stl", stl_span=0.5,
         )
         model = Conformer(cfg)

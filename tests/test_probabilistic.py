@@ -124,7 +124,7 @@ class TestRollingForecast:
 
         cfg = ConformerConfig(
             enc_in=3, dec_in=3, c_out=3, input_len=16, label_len=8, pred_len=4,
-            d_model=8, n_heads=2, d_ff=16, moving_avg=5, d_time=3, dropout=0.0,
+            d_model=8, n_heads=2, moving_avg=5, d_time=3, dropout=0.0,
         )
         model = Conformer(cfg)
         x = RNG.normal(size=(2, 16, 3))
