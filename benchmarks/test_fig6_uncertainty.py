@@ -37,9 +37,9 @@ def train_and_sample(paper_horizon):
     x_enc, x_mark, x_dec, y_mark, y = next(iter(test))
     model.eval()
     with no_grad():
-        y_out, _ = model(Tensor(x_enc), Tensor(x_mark), Tensor(x_dec), Tensor(y_mark), deterministic=True)
-        h_enc = model.encoder.hidden_states()[0]
-        h_dec = model.decoder.hidden_states()[0]
+        y_out, _, (h_enc, h_dec) = model(
+            Tensor(x_enc), Tensor(x_mark), Tensor(x_dec), Tensor(y_mark), deterministic=True
+        )
         flow_samples = model.flow.sample(h_enc, h_dec, n_samples=80)
     return y_out.data, flow_samples, y
 

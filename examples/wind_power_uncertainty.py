@@ -45,9 +45,9 @@ def main():
     x_enc, x_mark, x_dec, y_mark, y = next(iter(test))
     model.eval()
     with no_grad():
-        y_out, _ = model(Tensor(x_enc), Tensor(x_mark), Tensor(x_dec), Tensor(y_mark), deterministic=True)
-        h_enc = model.encoder.hidden_states()[0]
-        h_dec = model.decoder.hidden_states()[0]
+        y_out, _, (h_enc, h_dec) = model(
+            Tensor(x_enc), Tensor(x_mark), Tensor(x_dec), Tensor(y_mark), deterministic=True
+        )
         flow_samples = model.flow.sample(h_enc, h_dec, n_samples=100)
 
     print("4. Quantile bands at different flow weights (Fig. 6):")
@@ -64,10 +64,10 @@ def main():
     print("   a split-conformal scale per level restores target coverage.")
     val_x, val_xm, val_xd, val_ym, val_y = next(iter(val))
     with no_grad():
-        val_out, _ = model(Tensor(val_x), Tensor(val_xm), Tensor(val_xd), Tensor(val_ym), deterministic=True)
-        val_samples = model.flow.sample(
-            model.encoder.hidden_states()[0], model.decoder.hidden_states()[0], n_samples=100
+        val_out, _, val_hidden = model(
+            Tensor(val_x), Tensor(val_xm), Tensor(val_xd), Tensor(val_ym), deterministic=True
         )
+        val_samples = model.flow.sample(*val_hidden, n_samples=100)
     val_bands = blend_uncertainty(val_out.data, val_samples, lam=0.8, levels=(0.9,))
     scaler = BandScaler.fit(val_bands, val_y)
     print(f"   fitted width scale @0.9: x{scaler.scales[0.9]:.1f}")

@@ -6,8 +6,10 @@ The trainer only relies on three methods:
 - ``compute_loss(outputs, target)`` -> scalar Tensor
 - ``point_forecast(outputs)`` -> numpy array (B, pred_len, c_out)
 
-Plain forecasters return a Tensor from ``forward``; Conformer returns a
-``(y_out, z_out)`` tuple and overrides the two helpers accordingly.
+``outputs`` carry all the helpers need; a forward writes no module state.
+Plain forecasters return the forecast Tensor.  DeepAR returns ``(mu,
+sigma)`` and TS2Vec ``(forecast, contrastive or None)``, overriding
+``compute_loss``; Conformer returns ``(y_out, z_out, (h_e, h_d))``.
 """
 
 from __future__ import annotations
@@ -45,4 +47,5 @@ class ForecastModel(Module):
         return F.mse_loss(outputs, target)
 
     def point_forecast(self, outputs) -> np.ndarray:
-        return outputs.data
+        """The forecast: ``outputs``, or their first element for a tuple."""
+        return (outputs[0] if isinstance(outputs, tuple) else outputs).data

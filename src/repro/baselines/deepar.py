@@ -10,11 +10,12 @@ likelihood-based counterpart to Conformer's normalizing-flow head.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.base import ForecastModel, forecaster_contract
+from repro.baselines.base import FORECASTER_CONTRACT, ForecastModel
+from repro.markers import shape_contract
 from repro.nn import GRU, Linear
 from repro.tensor import Tensor, functional as F, inference_mode
 from repro.tensor.random import spawn_rng
@@ -43,7 +44,6 @@ class DeepAR(ForecastModel):
         self.mu_head = Linear(hidden_size, c_out, rng=rng)
         self.sigma_head = Linear(hidden_size, c_out, rng=rng)
         self._rng = spawn_rng(seed + 1)
-        self._last_sigma: Optional[Tensor] = None
 
     # -- internals ---------------------------------------------------------
     def _distribution(self, features: Tensor) -> Tuple[Tensor, Tensor]:
@@ -75,17 +75,15 @@ class DeepAR(ForecastModel):
         return F.stack(mus, axis=1), F.stack(sigmas, axis=1)
 
     # -- forecaster protocol -------------------------------------------------
-    @forecaster_contract
-    def forward(self, x_enc: Tensor, x_mark_enc: Tensor, x_dec: Tensor, y_mark_dec: Tensor) -> Tensor:
-        mu, sigma = self._teacher_forced(x_enc, x_mark_enc, x_dec, y_mark_dec)
-        self._last_sigma = sigma
-        return mu
+    @shape_contract(inputs=FORECASTER_CONTRACT["inputs"], output=("B H C", "B H C"))
+    def forward(self, x_enc: Tensor, x_mark_enc: Tensor, x_dec: Tensor, y_mark_dec: Tensor) -> Tuple[Tensor, Tensor]:
+        """Return (mu, sigma), each (B, pred_len, c_out)."""
+        return self._teacher_forced(x_enc, x_mark_enc, x_dec, y_mark_dec)
 
     def compute_loss(self, outputs, target: Tensor) -> Tensor:
         """Gaussian NLL (DeepAR's objective)."""
-        mu, sigma = outputs, self._last_sigma
-        diff = target.detach() - mu
-        return (F.log(sigma) + 0.5 * (diff * diff) / (sigma * sigma)).mean() + 0.5 * float(np.log(2 * np.pi))
+        mu, sigma = outputs
+        return F.gaussian_nll(mu, sigma, target)
 
     def sample_paths(self, x_enc, x_mark_enc, x_dec, y_mark_dec, n_samples: int = 100) -> np.ndarray:
         """Ancestral sampling: (S, B, pred_len, c_out) Monte-Carlo paths."""

@@ -10,11 +10,12 @@ The paper uses TS2Vec in the *univariate* comparison (Table IV).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import ForecastModel, forecaster_contract
+from repro.baselines.base import FORECASTER_CONTRACT, ForecastModel
+from repro.markers import shape_contract
 from repro.nn import Conv1d, GELU, LayerNorm, Linear, Module, ModuleList
 from repro.tensor import Tensor, functional as F
 from repro.tensor.random import spawn_rng
@@ -116,21 +117,22 @@ class TS2Vec(ForecastModel):
         self.encoder = TS2VecEncoder(enc_in + d_time, d_repr, depth=depth, rng=rng)
         self.head = Linear(d_repr, pred_len * c_out, rng=rng)
         self._rng = spawn_rng(seed + 1)
-        self._last_contrastive: Tensor | None = None
 
     def encode(self, x_enc: Tensor, x_mark_enc: Tensor) -> Tensor:
         """Per-timestep representations (B, L, d_repr)."""
         return self.encoder(F.concat([x_enc, x_mark_enc], axis=-1))
 
-    @forecaster_contract
-    def forward(self, x_enc: Tensor, x_mark_enc: Tensor, x_dec: Tensor, y_mark_dec: Tensor) -> Tensor:
+    @shape_contract(inputs=FORECASTER_CONTRACT["inputs"], output=("B H C", None))
+    def forward(
+        self, x_enc: Tensor, x_mark_enc: Tensor, x_dec: Tensor, y_mark_dec: Tensor
+    ) -> Tuple[Tensor, Optional[Tensor]]:
+        """Return (forecast (B, pred_len, c_out), contrastive loss or None outside training)."""
         representation = self.encode(x_enc, x_mark_enc)
+        contrastive = None
         if self.training and x_enc.shape[1] >= 8:
-            self._last_contrastive = self._contrastive(x_enc, x_mark_enc)
-        else:
-            self._last_contrastive = None
+            contrastive = self._contrastive(x_enc, x_mark_enc)
         final = representation[:, -1, :]
-        return self.head(final).reshape(x_enc.shape[0], self.pred_len, self.c_out)
+        return self.head(final).reshape(x_enc.shape[0], self.pred_len, self.c_out), contrastive
 
     def _contrastive(self, x_enc: Tensor, x_mark_enc: Tensor) -> Tensor:
         """Two overlapping random crops -> hierarchical contrastive loss."""
@@ -151,7 +153,8 @@ class TS2Vec(ForecastModel):
         return hierarchical_contrastive_loss(a_seg, b_seg)
 
     def compute_loss(self, outputs, target: Tensor) -> Tensor:
-        loss = F.mse_loss(outputs, target)
-        if self._last_contrastive is not None:
-            loss = loss + self.contrastive_weight * self._last_contrastive
+        forecast, contrastive = outputs
+        loss = F.mse_loss(forecast, target)
+        if contrastive is not None:
+            loss = loss + self.contrastive_weight * contrastive
         return loss

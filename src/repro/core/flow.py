@@ -201,8 +201,7 @@ class NormalizingFlow(Module):
     def nll(self, h_enc: Tensor, h_dec: Tensor, target: Tensor, deterministic: bool = False) -> Tensor:
         """Gaussian negative log-likelihood of the target series."""
         mu, sigma = self.output_distribution(h_enc, h_dec, deterministic=deterministic)
-        diff = target.detach() - mu
-        loss = (F.log(sigma) + 0.5 * (diff * diff) / (sigma * sigma)).mean() + 0.5 * float(np.log(2 * np.pi))
+        loss = F.gaussian_nll(mu, sigma, target)
         if _ANOMALY_HOOK is not None and not np.isfinite(loss.data).all():
             _ANOMALY_HOOK(
                 "flow_nll_nonfinite",

@@ -1,10 +1,11 @@
 """The Conformer model (Fig. 1): input representation -> SIRN
 encoder/decoder with sliding-window attention -> normalizing flow.
 
-``forward`` returns the decoder prediction ``y_out`` and the flow
-prediction ``z_out`` (Eq. 18 trains both against the target).  ``predict``
-blends them with the lambda trade-off, and ``predict_with_uncertainty``
-draws flow samples for the quantile bands of Figs. 6-7.
+``forward`` returns the decoder prediction ``y_out``, the flow
+prediction ``z_out`` (Eq. 18 trains both against the target) and the
+flow's input pair ``(h_e, h_d)``.  ``predict`` blends the predictions
+with the lambda trade-off, and ``predict_with_uncertainty`` draws flow
+samples for the quantile bands of Figs. 6-7.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class Conformer(Module):
             rnn_layers=config.dec_rnn_layers,
             **sirn_kwargs,
         )
-        self._flow_inputs: Optional[Tuple[Tensor, Tensor]] = None
         self.flow: Optional[NormalizingFlow] = None
         if config.flow_mode != "none":
             self.flow = NormalizingFlow(
@@ -83,9 +83,6 @@ class Conformer(Module):
             )
 
     # ------------------------------------------------------------------
-    def _pick_hidden(self, states, which: str) -> Tensor:
-        return states[0] if which == "first" else states[-1]
-
     @shape_contract(
         inputs={
             "x_enc": "B L D",
@@ -93,7 +90,7 @@ class Conformer(Module):
             "x_dec": "B Ldec D",
             "y_mark_dec": "B Ldec M",
         },
-        output=("B H C", None),  # z_out is absent when flows are disabled
+        output=("B H C", None, None),  # z_out and the flow pair are absent without a flow
     )
     def forward(
         self,
@@ -102,53 +99,45 @@ class Conformer(Module):
         x_dec: Tensor,
         y_mark_dec: Tensor,
         deterministic: bool = False,
-    ) -> Tuple[Tensor, Optional[Tensor]]:
-        """Return (y_out (B, pred_len, c_out), z_out or None)."""
+    ) -> Tuple[Tensor, Optional[Tensor], Optional[Tuple[Tensor, Tensor]]]:
+        """Return (y_out (B, pred_len, c_out), z_out, (h_enc, h_dec)); the last two are None without a flow."""
         enc_in = self.enc_repr(x_enc, x_mark_enc)
-        memory = self.encoder(enc_in)
+        memory, enc_hiddens = self.encoder(enc_in)
         dec_in = self.dec_repr(x_dec, y_mark_dec)
-        dec_out, _ = self.decoder(dec_in, memory)
+        dec_out, dec_hiddens = self.decoder(dec_in, memory)
         y_out = dec_out[:, -self.config.pred_len :, :]
+        if self.flow is None:
+            return y_out, None, None
 
-        z_out = None
-        if self.flow is not None:
-            h_enc = self._pick_hidden(self.encoder.hidden_states(), self.config.flow_hidden_source[0])
-            h_dec = self._pick_hidden(self.decoder.hidden_states(), self.config.flow_hidden_source[1])
-            # stashed for compute_loss (flow NLL needs the hidden pair);
-            # overwritten by every forward, read only by the training-loss
-            # path — inference never consumes it
-            self._flow_inputs = (h_enc, h_dec)  # repro: noqa[dataflow-impure-predict]
-            if self.config.flow_loss == "nll":
-                z_out, _ = self.flow.output_distribution(h_enc, h_dec, deterministic=deterministic)
-            else:
-                z_out = self.flow(h_enc, h_dec, deterministic=deterministic)
-        return y_out, z_out
+        enc_source, dec_source = self.config.flow_hidden_source  # Table IX
+        h_enc = enc_hiddens[0 if enc_source == "first" else -1]
+        h_dec = dec_hiddens[0 if dec_source == "first" else -1]
+        if self.config.flow_loss == "nll":
+            z_out, _ = self.flow.output_distribution(h_enc, h_dec, deterministic=deterministic)
+        else:
+            z_out = self.flow(h_enc, h_dec, deterministic=deterministic)
+        return y_out, z_out, (h_enc, h_dec)
 
     # ------------------------------------------------------------------
-    def loss(self, y_out: Tensor, z_out: Optional[Tensor], target: Tensor) -> Tensor:
+    def compute_loss(self, outputs, target: Tensor) -> Tensor:
         """Eq. (18): lambda * MSE(y_out, Y) + (1 - lambda) * MSE(z_out, Y).
 
         With ``flow_loss='nll'`` the flow term is the Gaussian negative
         log-likelihood instead — the objective the paper *substituted away*
         (§IV-D); keeping it available preserves calibrated variances.
         """
+        y_out, z_out, flow_in = outputs
         lam = self.config.lambda_weight
         base = F.mse_loss(y_out, target)
         if z_out is None:
             return base
         if self.config.flow_loss == "nll":
-            h_enc, h_dec = self._flow_inputs
-            return lam * base + (1.0 - lam) * self.flow.nll(h_enc, h_dec, target)
+            return lam * base + (1.0 - lam) * self.flow.nll(*flow_in, target)
         return lam * base + (1.0 - lam) * F.mse_loss(z_out, target)
-
-    def compute_loss(self, outputs, target: Tensor) -> Tensor:
-        """Trainer protocol: unpack the (y_out, z_out) tuple into Eq. (18)."""
-        y_out, z_out = outputs
-        return self.loss(y_out, z_out, target)
 
     def point_forecast(self, outputs) -> np.ndarray:
         """Trainer protocol: lambda-weighted blend of the two heads."""
-        y_out, z_out = outputs
+        y_out, z_out, _ = outputs
         if z_out is None:
             return y_out.data
         lam = self.config.lambda_weight
@@ -189,8 +178,8 @@ class Conformer(Module):
         self.eval()
         try:
             with inference_mode():
-                y_out, z_out = self.forward(_t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True)
-                h_enc, h_dec = self._flow_inputs
+                outputs = self.forward(_t(x_enc), _t(x_mark_enc), _t(x_dec), _t(y_mark_dec), deterministic=True)
+                y_out, _, (h_enc, h_dec) = outputs
                 # one recycled (S, B, L, C) buffer receives every Monte-Carlo
                 # draw; only the blended result below is freshly allocated
                 # (it escapes via result["samples"])
@@ -205,7 +194,7 @@ class Conformer(Module):
                 # the block would be a use-after-release (the exact hazard
                 # a concurrent request reusing the slot turns into corrupt
                 # forecasts — the alias sanitizer flags it)
-                point = self.point_forecast((y_out, z_out))
+                point = self.point_forecast(outputs)
                 lam = self.config.lambda_weight
                 blended = np.empty_like(z_samples)
                 np.multiply(z_samples, 1.0 - lam, out=blended)

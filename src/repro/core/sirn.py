@@ -12,13 +12,14 @@ One SIRN layer does three things:
 3. **Fusion** (Eq. 11): the final seasonal part plus a second GRU run over
    the summed trends, linearly projected.
 
-The hidden state of the *first* GRU is exposed (``last_hidden``) — it is
-what the normalizing-flow block absorbs (Fig. 3b).
+Every layer returns the final hidden state of its *first* GRU next to its
+output; the encoder and decoder return one per layer, in layer order.
+These are the h_e / h_d the normalizing-flow block absorbs (Fig. 3b).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.decomp import SeriesDecomposition
 from repro.nn import (
@@ -87,12 +88,11 @@ class SIRNLayer(Module):
         self.out_proj = Linear(d_model, d_model, rng=rng)
         self.norm = LayerNorm(d_model)
         self.dropout = Dropout(dropout)
-        self.last_hidden: Optional[Tensor] = None  # (B, d_model) for the flow
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+        """Return (output (B, L, d_model), first-GRU hidden state (B, d_model))."""
         # ---- Eq. (8): global gate + local attention + residual ----
         rnn_out, rnn_states = self.global_rnn(x)
-        self.last_hidden = rnn_states[-1]
         gate = F.softmax(rnn_out, axis=-1)
         local = self.local_attention(x)
         mixed = gate * x + local + x
@@ -108,7 +108,7 @@ class SIRNLayer(Module):
         # ---- Eq. (11): fuse instant + stationary ----
         trend_feat, _ = self.trend_rnn(trend_sum)
         out = self.out_proj(seasonal + trend_feat)
-        return self.norm(self.dropout(out) + x)
+        return self.norm(self.dropout(out) + x), rnn_states[-1]
 
 
 class SIRNEncoder(Module):
@@ -118,14 +118,13 @@ class SIRNEncoder(Module):
         super().__init__()
         self.layers = ModuleList([SIRNLayer(**layer_kwargs) for _ in range(n_layers)])
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tuple[Tensor, List[Tensor]]:
+        """Return (output, first-GRU hidden state of each layer in layer order)."""
+        hiddens = []
         for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def hidden_states(self) -> List[Tensor]:
-        """First-GRU hidden state of each layer, in layer order."""
-        return [layer.last_hidden for layer in self.layers]
+            x, h = layer(x)
+            hiddens.append(h)
+        return x, hiddens
 
 
 class SIRNDecoderLayer(Module):
@@ -163,14 +162,11 @@ class SIRNDecoderLayer(Module):
         self.norm = LayerNorm(d_model)
         self.dropout = Dropout(dropout)
 
-    @property
-    def last_hidden(self) -> Optional[Tensor]:
-        return self.sirn.last_hidden
-
-    def forward(self, x: Tensor, memory: Tensor) -> Tensor:
-        x = self.sirn(x)
+    def forward(self, x: Tensor, memory: Tensor) -> Tuple[Tensor, Tensor]:
+        """Return (output, the SIRN layer's first-GRU hidden state)."""
+        x, h = self.sirn(x)
         attended = self.cross_attention(x, memory, memory)
-        return self.norm(x + self.dropout(attended))
+        return self.norm(x + self.dropout(attended)), h
 
 
 class SIRNDecoder(Module):
@@ -183,11 +179,10 @@ class SIRNDecoder(Module):
         )
         self.projection = Linear(d_model, c_out, rng=rng)
 
-    def forward(self, x: Tensor, memory: Tensor) -> Tuple[Tensor, Tensor]:
-        """Return (projected output (B, L_dec, c_out), last features)."""
+    def forward(self, x: Tensor, memory: Tensor) -> Tuple[Tensor, List[Tensor]]:
+        """Return (projected output (B, L_dec, c_out), per-layer hidden states)."""
+        hiddens = []
         for layer in self.layers:
-            x = layer(x, memory)
-        return self.projection(x), x
-
-    def hidden_states(self) -> List[Tensor]:
-        return [layer.last_hidden for layer in self.layers]
+            x, h = layer(x, memory)
+            hiddens.append(h)
+        return self.projection(x), hiddens

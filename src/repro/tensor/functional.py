@@ -1203,6 +1203,12 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return mean(diff * diff)
 
 
+def gaussian_nll(mu: Tensor, sigma: Tensor, target: Tensor) -> Tensor:
+    """Mean negative log-likelihood of ``target`` under N(mu, sigma^2)."""
+    diff = ensure_tensor(target).detach() - mu
+    return mean(log(sigma) + 0.5 * (diff * diff) / (sigma * sigma)) + 0.5 * float(np.log(2 * np.pi))
+
+
 def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
     target = ensure_tensor(target)
     return mean(abs(prediction - target.detach()))

@@ -192,7 +192,8 @@ class TestTS2Vec:
 
     def test_shape(self):
         model = self.make()
-        assert model(*batch_inputs()).shape == (2, PRED_LEN, C_OUT)
+        forecast, _ = model(*batch_inputs())
+        assert forecast.shape == (2, PRED_LEN, C_OUT)
 
     def test_contrastive_loss_added_in_training(self):
         model = self.make()
@@ -203,7 +204,7 @@ class TestTS2Vec:
         model.eval()
         out_eval = model(*inputs)
         eval_loss = model.compute_loss(out_eval, target).item()
-        assert model._last_contrastive is None
+        assert out[1] is not None and out_eval[1] is None
         assert train_loss != pytest.approx(eval_loss)
 
     def test_encode_shape(self):

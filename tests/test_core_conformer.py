@@ -171,18 +171,17 @@ class TestSIRN:
     def test_layer_shape_preserved(self):
         layer = SIRNLayer(d_model=8, n_heads=2, moving_avg=5, dropout=0.0)
         x = Tensor(RNG.normal(size=(2, 12, 8)))
-        assert layer(x).shape == (2, 12, 8)
+        assert layer(x)[0].shape == (2, 12, 8)
 
     def test_hidden_state_exposed(self):
         layer = SIRNLayer(d_model=8, n_heads=2, moving_avg=5)
-        assert layer.last_hidden is None
-        layer(Tensor(RNG.normal(size=(3, 12, 8))))
-        assert layer.last_hidden.shape == (3, 8)
+        _, hidden = layer(Tensor(RNG.normal(size=(3, 12, 8))))
+        assert hidden.shape == (3, 8)
 
     def test_eta_iterations(self):
         layer = SIRNLayer(d_model=8, n_heads=2, moving_avg=5, decomp_iterations=3, dropout=0.0)
         x = Tensor(RNG.normal(size=(1, 12, 8)))
-        assert layer(x).shape == (1, 12, 8)
+        assert layer(x)[0].shape == (1, 12, 8)
 
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
@@ -190,9 +189,8 @@ class TestSIRN:
 
     def test_encoder_stack(self):
         encoder = SIRNEncoder(2, d_model=8, n_heads=2, moving_avg=5, dropout=0.0)
-        out = encoder(Tensor(RNG.normal(size=(2, 12, 8))))
+        out, states = encoder(Tensor(RNG.normal(size=(2, 12, 8))))
         assert out.shape == (2, 12, 8)
-        states = encoder.hidden_states()
         assert len(states) == 2 and states[0].shape == (2, 8)
 
     def test_decoder_cross_attends(self):
@@ -210,7 +208,7 @@ class TestSIRN:
         """Table VI: SIRN must accept every competitor attention."""
         layer = SIRNLayer(d_model=8, n_heads=2, moving_avg=5, attention_type=attn, dropout=0.0)
         x = Tensor(RNG.normal(size=(1, 16, 8)))
-        assert layer(x).shape == (1, 16, 8)
+        assert layer(x)[0].shape == (1, 16, 8)
 
 
 class TestNormalizingFlow:
@@ -296,25 +294,26 @@ class TestConformerModel:
     def test_forward_shapes(self):
         cfg = tiny_config()
         model = Conformer(cfg)
-        y_out, z_out = model(*model_inputs(cfg))
+        y_out, z_out, (h_enc, h_dec) = model(*model_inputs(cfg))
         assert y_out.shape == (2, cfg.pred_len, cfg.c_out)
         assert z_out.shape == (2, cfg.pred_len, cfg.c_out)
+        assert h_enc.shape == h_dec.shape == (2, cfg.d_model)
 
     def test_flow_none_mode(self):
         cfg = tiny_config(flow_mode="none")
         model = Conformer(cfg)
-        y_out, z_out = model(*model_inputs(cfg))
-        assert z_out is None
+        y_out, z_out, flow_in = model(*model_inputs(cfg))
+        assert z_out is None and flow_in is None
         assert y_out.shape == (2, cfg.pred_len, cfg.c_out)
 
     def test_loss_combines_heads(self):
         cfg = tiny_config(lambda_weight=0.8)
         model = Conformer(cfg)
         inputs = model_inputs(cfg)
-        y_out, z_out = model(*inputs, deterministic=True)
+        y_out, z_out, flow_in = model(*inputs, deterministic=True)
         target = Tensor(RNG.normal(size=(2, cfg.pred_len, cfg.c_out)))
-        combined = model.loss(y_out, z_out, target).item()
-        y_only = model.loss(y_out, None, target).item()
+        combined = model.compute_loss((y_out, z_out, flow_in), target).item()
+        y_only = model.compute_loss((y_out, None, None), target).item()
         from repro.tensor import functional as F
 
         z_mse = F.mse_loss(z_out, target).item()
@@ -331,8 +330,7 @@ class TestConformerModel:
         first = None
         for _ in range(8):
             opt.zero_grad()
-            y_out, z_out = model(*inputs, deterministic=True)
-            loss = model.loss(y_out, z_out, target)
+            loss = model.compute_loss(model(*inputs, deterministic=True), target)
             if first is None:
                 first = loss.item()
             loss.backward()
@@ -427,8 +425,9 @@ class TestConformerModel:
     def test_hidden_source_options(self, source):
         cfg = tiny_config(flow_hidden_source=source)
         model = Conformer(cfg)
-        y_out, z_out = model(*model_inputs(cfg))
+        y_out, z_out, (h_enc, h_dec) = model(*model_inputs(cfg))
         assert z_out is not None
+        assert h_enc.shape == h_dec.shape == (2, cfg.d_model)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -188,7 +188,7 @@ class TestConformerEdgeCases:
         cfg = ConformerConfig(enc_in=2, dec_in=2, c_out=2, input_len=12, label_len=6, pred_len=1,
                               d_model=8, n_heads=2, moving_avg=5, d_time=2, dropout=0.0)
         model = Conformer(cfg)
-        y_out, z_out = model(
+        y_out, z_out, _ = model(
             Tensor(RNG.normal(size=(2, 12, 2))), Tensor(RNG.normal(size=(2, 12, 2))),
             Tensor(RNG.normal(size=(2, 7, 2))), Tensor(RNG.normal(size=(2, 7, 2))),
         )

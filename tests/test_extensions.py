@@ -187,7 +187,9 @@ class TestDeepAR:
 
     def test_forward_shape(self):
         model = self.make()
-        assert model(*self._inputs()).shape == (2, 4, 3)
+        mu, sigma = model(*self._inputs())
+        assert mu.shape == sigma.shape == (2, 4, 3)
+        assert (sigma.data > 0).all()
 
     def test_nll_loss_finite_and_trains(self):
         from repro.optim import Adam

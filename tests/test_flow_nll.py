@@ -114,7 +114,7 @@ class TestConformerNLLMode:
     def test_forward_returns_mu(self):
         cfg = nll_config()
         model = Conformer(cfg)
-        y_out, z_out = model(*model_inputs(cfg), deterministic=True)
+        y_out, z_out, _ = model(*model_inputs(cfg), deterministic=True)
         assert z_out.shape == (2, cfg.pred_len, cfg.c_out)
 
     def test_invalid_flow_loss(self):
@@ -135,7 +135,7 @@ class TestConformerNLLMode:
             loss = model.compute_loss(outputs, target)
             loss.backward()
             opt.step()
-        h_enc, h_dec = model._flow_inputs
+        h_enc, h_dec = outputs[2]
         _, sigma = model.flow.output_distribution(h_enc, h_dec, deterministic=True)
         assert sigma.data.mean() > 0.1  # variance not collapsed
 
@@ -149,7 +149,7 @@ class TestConformerNLLMode:
     def test_mse_mode_unchanged(self):
         cfg = nll_config(flow_loss="mse")
         model = Conformer(cfg)
-        y_out, z_out = model(*model_inputs(cfg), deterministic=True)
+        outputs = model(*model_inputs(cfg), deterministic=True)
         target = Tensor(RNG.normal(size=(2, cfg.pred_len, cfg.c_out)))
-        loss = model.compute_loss((y_out, z_out), target)
+        loss = model.compute_loss(outputs, target)
         assert np.isfinite(loss.item())

@@ -274,10 +274,10 @@ class TestFloat32Path:
         x_enc, x_mark, x_dec, y_mark, _ = batch
         args = lambda: (Tensor(x_enc), Tensor(x_mark), Tensor(x_dec), Tensor(y_mark))  # noqa: E731
         with inference_mode():
-            y64, z64 = model(*args(), deterministic=True)
+            y64, z64, _ = model(*args(), deterministic=True)
         model.to_dtype(np.float32)
         with inference_mode(), compute_dtype(np.float32):
-            y32, z32 = model(*args(), deterministic=True)
+            y32, z32, _ = model(*args(), deterministic=True)
         assert y32.data.dtype == np.float32
         # documented tolerance (docs/performance.md): 1e-4 absolute on
         # standardized series — measured agreement is ~1e-6

@@ -21,11 +21,22 @@ RNG = np.random.default_rng(2020)
 DTYPES = [np.float64, np.float32]
 
 
-def _tiny_conformer() -> Conformer:
+def _tiny_conformer(flow_loss: str = "mse") -> Conformer:
     return Conformer(ConformerConfig(
         enc_in=3, dec_in=3, c_out=3, input_len=16, label_len=8, pred_len=8,
         d_model=8, n_heads=2, moving_avg=5, d_time=3, dropout=0.1, n_flows=2, seed=0,
+        flow_loss=flow_loss,
     ))
+
+
+def _record_taped_outputs(taped):
+    """Op hook appending (op, weakref to its output array) for taped ops."""
+
+    def hook(op, data, is_taped):
+        if is_taped and isinstance(data, np.ndarray):
+            taped.append((op, weakref.ref(data)))
+
+    return hook
 
 
 def _batch(model: Conformer):
@@ -45,39 +56,53 @@ class TestBackwardReleasesTheTape:
         model.train()
         inputs, target = _batch(model)
         taped = []
-
-        def hook(op, data, is_taped):
-            if is_taped and isinstance(data, np.ndarray):
-                taped.append((op, weakref.ref(data)))
-
-        previous = set_op_hook(hook)
+        previous = set_op_hook(_record_taped_outputs(taped))
         try:
-            y_out, z_out = model(*inputs)
-            loss = model.loss(y_out, z_out, target)
+            outputs = model(*inputs)
+            loss = model.compute_loss(outputs, target)
         finally:
             set_op_hook(previous)
-        stashes = [*model._flow_inputs, *model.encoder.hidden_states(), *model.decoder.hidden_states()]
-        assert all(isinstance(t, Tensor) for t in stashes)
+        flow_in = outputs[2]
+        assert all(isinstance(t, Tensor) for t in flow_in)
         assert taped[0][1]() is not None
 
         loss.backward()
 
         dead = {op for op, ref in taped if ref() is None}
         # the first op output (an input projection) and every linear
-        # output are freed although the loss and all stashes are held
+        # output are freed although the loss and all outputs are held
         assert taped[0][1]() is None
         assert "linear" in dead and all(ref() is None for op, ref in taped if op == "linear")
         assert sum(ref() is None for _, ref in taped) > len(taped) // 2
         assert loss.grad is None and np.isfinite(loss.item())
         assert model.enc_repr.conv.weight.grad is not None
-        for stash in model._flow_inputs:  # on the loss path: released too
-            assert stash.grad is None and stash._parents == ()
+        for hidden in flow_in:  # on the loss path: released too
+            assert hidden.grad is None and hidden._parents == ()
+
+    @pytest.mark.parametrize("flow_loss", ["mse", "nll"])
+    def test_no_scan_or_slice_outlives_backward(self, flow_loss):
+        """The outputs are all a forward leaves behind: once the caller
+        holds only the loss, backward frees every GRU scan output and every
+        slice, including the hidden states of layers the flow does not read."""
+        model = _tiny_conformer(flow_loss=flow_loss)
+        inputs, target = _batch(model)
+        taped = []
+        previous = set_op_hook(_record_taped_outputs(taped))
+        try:
+            loss = model.compute_loss(model(*inputs), target)
+        finally:
+            set_op_hook(previous)
+        assert {"gru_sequence", "getitem"} <= {op for op, _ in taped}
+
+        loss.backward()
+
+        survivors = [op for op, ref in taped if op in ("gru_sequence", "getitem") and ref() is not None]
+        assert survivors == []
 
     def test_second_backward_raises_naming_the_op(self):
         model = _tiny_conformer()
         inputs, target = _batch(model)
-        y_out, z_out = model(*inputs)
-        loss = model.loss(y_out, z_out, target)
+        loss = model.compute_loss(model(*inputs), target)
         loss.backward()
         with pytest.raises(RuntimeError, match="already freed"):
             loss.backward()
