@@ -52,7 +52,7 @@ from repro.analysis.contracts.symbolic import (
 )
 from repro.analysis.sanitizer import _ELEMENTWISE_BINARY
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, ensure_tensor
+from repro.tensor.tensor import Observer, Tensor, ensure_tensor, observe
 
 __all__ = ["AbstractTensor", "ContractTraceError", "Trace", "trace_module"]
 
@@ -306,8 +306,8 @@ def _getitem_sym(sym_shape, index, out_shape) -> Optional[Tuple]:
 # ----------------------------------------------------------------------
 # sanitizer shim — the runtime checks, statically attributed
 # ----------------------------------------------------------------------
-class _SanitizerShim:
-    """Engine sanitizer hook that routes findings into the active trace.
+class _SanitizerShim(Observer):
+    """Engine observer that routes findings into the active trace.
 
     Mirrors :class:`repro.analysis.sanitizer.TensorSanitizer`'s dtype and
     double-broadcast checks (same conditions, same finding kinds) but
@@ -318,7 +318,7 @@ class _SanitizerShim:
     def __init__(self, trace: "Trace") -> None:
         self.trace = trace
 
-    def check_forward(self, op: str, data: np.ndarray, parents: Tuple) -> None:
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple, taped: bool) -> None:
         trace = self.trace
         if (
             trace.expected_dtype is not None
@@ -335,12 +335,6 @@ class _SanitizerShim:
             and data.shape != parents[1].data.shape
         ):
             trace.record_broadcast_surprise(op, parents, data.shape)
-
-    def check_grad(self, op: str, grad: np.ndarray) -> None:
-        pass
-
-    def check_sequence(self, op: str, data: np.ndarray, time_axis: int = 1) -> None:
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -568,19 +562,16 @@ class Trace:
         if _ACTIVE is not None:
             raise RuntimeError("contract traces do not nest")
         from repro.nn.module import Module
-        from repro.tensor.tensor import set_sanitizer
 
         original_call = Module.__call__
-        previous_sanitizer = set_sanitizer(_SanitizerShim(self))
         Module.__call__ = _traced_module_call
         _ACTIVE = self
         try:
-            with _patched_functional(self):
+            with observe(_SanitizerShim(self)), _patched_functional(self):
                 yield self
         finally:
             _ACTIVE = None
             Module.__call__ = original_call
-            set_sanitizer(previous_sanitizer)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Runtime tensor sanitizer — ASan-style numeric checks for the autodiff tape.
 
 When installed (via :func:`sanitize` or ``repro.cli run --sanitize``), the
-engine calls back here at two points:
+sanitizer subscribes to the engine's one observer slot
+(:func:`repro.tensor.tensor.observe`) and checks two events:
 
-- **tape-node creation** (``Tensor._make``): every op output is checked
-  for NaN/Inf, dtype drift away from the engine's active compute-dtype
-  contract (float64 by default, float32 under
+- **op outputs** (``Tensor._make``, taped or tape-free): every output is
+  checked for NaN/Inf, dtype drift away from the engine's active
+  compute-dtype contract (float64 by default, float32 under
   ``repro.tensor.compute_dtype(np.float32)``), and
   double-broadcast surprises — an elementwise binary op where *neither*
   operand has the output shape, i.e. the classic ``(n,1) + (1,n)`` outer
@@ -14,15 +15,15 @@ engine calls back here at two points:
   gradient is checked for NaN/Inf before it can poison a parameter's
   ``grad`` buffer (and, one optimizer step later, Adam's moments).
 
-The fused sequence kernels additionally report the first offending
-*timestep* (:meth:`TensorSanitizer.check_sequence`), because a NaN born
-at t=37 of a 96-step scan is invisible in the single fused tape node.
+For the fused sequence kernels (``gru_sequence``, ``lstm_sequence``) the
+non-finite finding names the first offending *timestep*, because a NaN
+born at t=37 of a 96-step scan is invisible in the single fused op.
 
 Each finding carries the op name, the index of the first bad element,
 and a captured creation stack, and is mirrored into :mod:`repro.obs` as
 an ``anomaly`` event (kind ``sanitizer_*``) when a logger is attached.
-When no sanitizer is installed the engine pays exactly one ``is not
-None`` test per hook — the hot path stays allocation- and branch-free.
+When nothing is installed the engine pays exactly one ``is not None``
+test per hook site — the hot path stays allocation- and branch-free.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from repro.tensor import tensor as _engine
 
 #: elementwise binary ops checked for double-broadcast surprises
 _ELEMENTWISE_BINARY = frozenset({"add", "sub", "mul", "div", "maximum", "where"})
+
+#: fused scans whose (B, L, H) output gets a per-timestep non-finite report
+_SCANS = frozenset({"gru_sequence", "lstm_sequence"})
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class TensorSanitizerError(RuntimeError):
         self.finding = finding
 
 
-class TensorSanitizer:
+class TensorSanitizer(_engine.Observer):
     """Collects (and optionally raises on) numeric defects in the tape.
 
     Parameters
@@ -106,10 +110,7 @@ class TensorSanitizer:
         self.findings: List[SanitizerFinding] = []
         self.checked_nodes: int = 0
         self.checked_grads: int = 0
-        # id() of the last array reported by check_sequence, so the
-        # generic tape-node check does not file the same defect twice
-        self._sequence_reported: Optional[int] = None
-        # op whose backward closure is currently running (set by the
+        # op whose backward closure is currently running (bracketed by the
         # engine's backward loop) — attributes bad gradients to their maker
         self.current_producer: Optional[str] = None
 
@@ -122,21 +123,24 @@ class TensorSanitizer:
         return _engine.get_default_dtype()
 
     # ------------------------------------------------------------------
-    # engine hooks
+    # engine observer hooks
     # ------------------------------------------------------------------
-    def check_forward(self, op: str, data: np.ndarray, parents: Tuple) -> None:
-        """Called by ``Tensor._make`` on every tape-node creation."""
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple, taped: bool) -> None:
+        """Check one op output (taped or tape-free)."""
         self.checked_nodes += 1
-        if (
-            data.dtype.kind == "f"
-            and id(data) != self._sequence_reported
-            and not np.isfinite(data).all()
-        ):
-            self._record(
-                "nonfinite_forward", op,
-                f"op produced {self._describe_nonfinite(data)}",
-                self._locate(data),
-            )
+        if data.dtype.kind == "f" and not np.isfinite(data).all():
+            detail = self._locate(data)
+            message = f"op produced {self._describe_nonfinite(data)}"
+            if op in _SCANS:
+                # one fused op hides where the scan broke: name the first
+                # timestep (axis 1 of the (B, L, H) output) gone non-finite
+                first_t = int(np.argmax((~np.isfinite(data)).any(axis=(0, 2))))
+                detail["first_bad_timestep"] = first_t
+                message = (
+                    f"scan went non-finite at timestep {first_t} "
+                    f"({self._describe_nonfinite(data)})"
+                )
+            self._record("nonfinite_forward", op, message, detail)
         if self.check_dtype and data.dtype.kind == "f" and data.dtype != self.expected_dtype:
             self._record(
                 "dtype_drift", op,
@@ -163,8 +167,8 @@ class TensorSanitizer:
                 },
             )
 
-    def check_grad(self, op: str, grad: np.ndarray) -> None:
-        """Called by ``Tensor._accumulate`` on every incoming gradient."""
+    def on_grad(self, op: str, grad: np.ndarray) -> None:
+        """Check one incoming gradient before it accumulates."""
         self.checked_grads += 1
         if grad.dtype.kind == "f" and not np.isfinite(grad).all():
             producer = self.current_producer
@@ -180,23 +184,11 @@ class TensorSanitizer:
                 detail,
             )
 
-    def check_sequence(self, op: str, data: np.ndarray, time_axis: int = 1) -> None:
-        """Timestep-resolved non-finite check for fused scan kernels."""
-        if data.dtype.kind != "f" or np.isfinite(data).all():
-            return
-        bad = ~np.isfinite(data)
-        other_axes = tuple(a for a in range(data.ndim) if a != time_axis)
-        per_step = bad.any(axis=other_axes)
-        first_t = int(np.argmax(per_step))
-        detail = self._locate(data)
-        detail["first_bad_timestep"] = first_t
-        self._sequence_reported = id(data)
-        self._record(
-            "nonfinite_forward", op,
-            f"scan went non-finite at timestep {first_t} "
-            f"({self._describe_nonfinite(data)})",
-            detail,
-        )
+    def on_backward(self, op: str) -> None:
+        self.current_producer = op
+
+    def on_backward_done(self, op: str) -> None:
+        self.current_producer = None
 
     # ------------------------------------------------------------------
     # internals
@@ -219,7 +211,7 @@ class TensorSanitizer:
         return {"first_bad_index": first, "bad_count": int(len(index)), "shape": list(data.shape)}
 
     def _capture_stack(self) -> Tuple[str, ...]:
-        # drop the two sanitizer-internal frames (_record + check_*) so the
+        # drop the two sanitizer-internal frames (_record + on_*) so the
         # stack ends at the engine call site that created the value
         frames = traceback.format_stack(limit=self.stack_limit + 2)[:-2]
         return tuple(frames)
@@ -263,7 +255,8 @@ def sanitize(
 ):
     """Install a :class:`TensorSanitizer` for the duration of the block.
 
-    Nestable — the previous sanitizer (usually None) is restored on exit,
+    Nestable — the sanitizer shares the engine's observer slot with any
+    instrument already active, and the previous slot is restored on exit,
     so a sanitized test cannot leak checks into the rest of the suite::
 
         with sanitize() as san:
@@ -278,8 +271,7 @@ def sanitize(
     ``sanitizer.alias`` so callers can inspect its findings separately.
     """
     sanitizer = TensorSanitizer(logger=logger, raise_on_error=raise_on_error, **kwargs)
-    previous = _engine.set_sanitizer(sanitizer)
-    try:
+    with _engine.observe(sanitizer):
         if alias:
             from repro.analysis.alias import alias_guard
 
@@ -288,5 +280,3 @@ def sanitize(
                 yield sanitizer
         else:
             yield sanitizer
-    finally:
-        _engine.set_sanitizer(previous)

@@ -14,7 +14,7 @@ with the lowest metric are kept; everything else is pruned after each
 save.  Stray ``*.tmp`` files from crashed writes are cleaned up on the
 next save.
 
-Overhead is measured, not guessed: a :class:`repro.perf.StageTimer`
+Overhead is measured, not guessed: a flat :class:`repro.obs.Tracer`
 times every encode/write, and :meth:`stats` reports totals so runs can
 bound checkpoint cost against training time (also emitted through
 ``repro.obs`` as ``checkpoint_saved`` events).
@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.ckpt import codec
 from repro.ckpt.atomic import TMP_SUFFIX, ChecksumError, atomic_write_bytes, read_verified_bytes
-from repro.obs import RunLogger
-from repro.perf import StageTimer
+from repro.obs import RunLogger, Tracer
 
 __all__ = ["CheckpointInfo", "LoadedCheckpoint", "CheckpointManager", "MANIFEST_NAME"]
 
@@ -78,7 +77,7 @@ class CheckpointManager:
         self.keep_last = keep_last
         self.keep_best = keep_best
         self.logger = logger if logger is not None else RunLogger.null()
-        self.timer = StageTimer()
+        self.timer = Tracer(flat=True)
         self.bytes_written = 0
         self._manifest: List[CheckpointInfo] = self._read_manifest()
 
@@ -132,9 +131,9 @@ class CheckpointManager:
         name = f"ckpt-{epoch:04d}-{step:08d}.npz"
         path = self.directory / name
         before = self.timer.seconds.get("encode", 0.0) + self.timer.seconds.get("write", 0.0)
-        with self.timer.section("encode"):
+        with self.timer.span("encode"):
             payload = codec.encode_state(state)
-        with self.timer.section("write"):
+        with self.timer.span("write"):
             digest = atomic_write_bytes(path, payload)
         save_seconds = (
             self.timer.seconds.get("encode", 0.0) + self.timer.seconds.get("write", 0.0) - before

@@ -500,7 +500,7 @@ class AutoCorrelation(AttentionMechanism):
             out += rolled
         # roll scratch dies with the kernel; release its checkout scope
         get_arena().release("autocorr.")
-        return Tensor(out)
+        return Tensor._make(out, (q, k, v), "autocorr_aggregate", None)
 
 
 def _roll_time(x: Tensor, shifts: np.ndarray) -> Tensor:

@@ -3,7 +3,7 @@
 Four layers, all zero-overhead when disabled:
 
 - :mod:`repro.obs.tracer` — nestable named spans with hierarchical
-  wall-clock aggregation (subsumes ``repro.perf.StageTimer``).
+  wall-clock aggregation (``Tracer(flat=True)`` for flat stage timing).
 - :mod:`repro.obs.metrics` — counters, gauges, and streaming histograms
   (p50/p95/max, EWMA) for loss, grad-norm, clip events, tape nodes, and
   samples/sec.

@@ -132,54 +132,40 @@ _MANIFEST_KEYS = (
 
 
 def _render_op_profile(profile: Dict, top: int = 15) -> List[str]:
-    """Top-K per-op table with module attribution (``op_profile`` event).
+    """Top-K per-op forward and backward table (``op_profile`` event).
 
-    Handles both the v2 schema (``top`` rows with wall seconds and bytes
-    from :class:`repro.perf.OpLevelProfiler`) and the legacy v1 layout
-    (``per_op`` with tape_nodes/backward_seconds only).
+    An event from before schema 3 has no forward-and-backward ``per_op``
+    rows; it renders as a one-line note instead of a table.
     """
-    lines: List[str] = []
-    rows = profile.get("top")
-    if isinstance(rows, list) and rows:
-        lines.append(f"op profile (top {min(top, len(rows))} by wall time)")
-        lines.append(
-            f"  {'op':<18} {'module':<32} {'calls':>7} {'seconds':>10} {'MB':>8}"
-        )
-        lines.append("  " + "-" * 80)
-        for row in rows[:top]:
-            if not isinstance(row, dict):
-                continue
-            lines.append(
-                f"  {str(row.get('op', '?')):<18} {str(row.get('module', '?')):<32.32} "
-                f"{_fmt(row.get('calls'), 7)} {_fmt(row.get('seconds'), 10, 6)} "
-                f"{_fmt((row.get('nbytes') or 0) / 1e6, 8, 2)}"
-            )
-        memory = profile.get("memory")
-        if isinstance(memory, dict):
-            lines.append(
-                "  memory: "
-                f"allocated {memory.get('allocated_bytes', 0) / 1e6:.2f} MB, "
-                f"peak live {memory.get('peak_bytes', 0) / 1e6:.2f} MB, "
-                f"taped {memory.get('taped_nodes', 0)} nodes / "
-                f"{memory.get('taped_bytes', 0) / 1e6:.2f} MB"
-            )
-        return lines
     per_op = profile.get("per_op")
-    if isinstance(per_op, dict) and per_op:
-        lines.append("op profile (tape nodes / backward time)")
-        lines.append(f"  {'op':<18} {'nodes':>8} {'backward s':>12}")
-        lines.append("  " + "-" * 40)
-        ranked = sorted(
-            per_op.items(),
-            key=lambda kv: -(kv[1].get("backward_seconds", 0.0) if isinstance(kv[1], dict) else 0.0),
+    rows = [
+        (op, stats)
+        for op, stats in (per_op.items() if isinstance(per_op, dict) else ())
+        if isinstance(stats, dict) and "seconds" in stats and "backward_seconds" in stats
+    ]
+    if not rows:
+        return [f"op profile: schema {profile.get('schema', 1)} layout has no per-op table"]
+    rows.sort(key=lambda kv: -(kv[1]["seconds"] + kv[1]["backward_seconds"]))
+    lines = [
+        f"op profile (top {min(top, len(rows))} by forward + backward time)",
+        f"  {'op':<18} {'calls':>7} {'fwd s':>10} {'MB':>8} {'nodes':>7} {'bwd s':>10}",
+        "  " + "-" * 65,
+    ]
+    for op, stats in rows[:top]:
+        lines.append(
+            f"  {op:<18} {_fmt(stats.get('calls'), 7)} {_fmt(stats['seconds'], 10, 6)} "
+            f"{_fmt((stats.get('nbytes') or 0) / 1e6, 8, 2)} "
+            f"{_fmt(stats.get('tape_nodes'), 7)} {_fmt(stats['backward_seconds'], 10, 6)}"
         )
-        for op, stats in ranked[:top]:
-            if not isinstance(stats, dict):
-                continue
-            lines.append(
-                f"  {op:<18} {_fmt(stats.get('tape_nodes'), 8)} "
-                f"{_fmt(stats.get('backward_seconds'), 12, 6)}"
-            )
+    memory = profile.get("memory")
+    if isinstance(memory, dict):
+        lines.append(
+            "  memory: "
+            f"allocated {memory.get('allocated_bytes', 0) / 1e6:.2f} MB, "
+            f"peak live {memory.get('peak_bytes', 0) / 1e6:.2f} MB, "
+            f"taped {memory.get('taped_nodes', 0)} nodes / "
+            f"{memory.get('taped_bytes', 0) / 1e6:.2f} MB"
+        )
     return lines
 
 

@@ -286,8 +286,8 @@ class RunLogger:
         """Gauge an op-level profiler's byte accounting.
 
         Accepts anything with ``memory_stats()`` (duck-typed on
-        :class:`repro.perf.OpLevelProfiler` so ``repro.obs`` never
-        imports ``repro.perf``): live/peak tensor bytes, cumulative
+        :class:`repro.tensor.EngineProfiler` so ``repro.obs`` never
+        imports the engine): live/peak tensor bytes, cumulative
         allocated bytes, and tape-node count/bytes.
         """
         if not self.enabled:
@@ -302,14 +302,14 @@ class RunLogger:
         self.event("manifest", **build_manifest(**fields))
 
     def record_op_profile(self, profile) -> None:
-        """Bridge a :class:`repro.perf.OpProfiler` into the registry.
+        """Bridge an op profiler (``repro.perf.op_profile``) into the registry.
 
-        Accepts anything with ``total_nodes``/``as_dict()`` (duck-typed so
+        Accepts anything with ``taped_nodes``/``as_dict()`` (duck-typed so
         ``repro.obs`` never imports ``repro.perf``).
         """
         if not self.enabled:
             return
-        self.metrics.histogram("tape_nodes").observe(profile.total_nodes)
+        self.metrics.histogram("tape_nodes").observe(profile.taped_nodes)
         self.event("op_profile", **profile.as_dict())
 
     # lifecycle ---------------------------------------------------------

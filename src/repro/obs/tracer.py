@@ -8,8 +8,8 @@ pipeline.  Aggregation is streaming — only per-path totals and a bounded
 ring of recent raw :class:`SpanRecord` rows are retained, so a tracer can
 run for millions of batches without growing.
 
-``Tracer(flat=True)`` keys by leaf name only, which is exactly the old
-``repro.perf.StageTimer`` behaviour (that class is now a thin subclass).
+``Tracer(flat=True)`` keys by leaf name only: named stage timing with
+no hierarchy (the checkpoint manager times encode and write this way).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ class Tracer:
     Parameters
     ----------
     flat:
-        Key aggregates by leaf name instead of the full nested path
-        (``StageTimer`` compatibility).
+        Key aggregates by leaf name instead of the full nested path.
     max_records:
         Bound on retained raw :class:`SpanRecord` rows (aggregates are
         unaffected; the ring simply forgets the oldest spans).
@@ -96,9 +95,6 @@ class Tracer:
             self.records.append(record)
             if self.on_close is not None:
                 self.on_close(record)
-
-    # ``StageTimer`` spelling, kept so the two APIs stay interchangeable.
-    section = span
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

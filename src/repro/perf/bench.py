@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.optim import Adam, clip_grad_norm
-from repro.perf import OpProfiler, profile
+from repro.perf import op_profile
 from repro.tensor import Tensor, functional as F
 from repro.tensor.random import seed_everything
 from repro.training import ExperimentSettings, PROFILES, build_model, make_loaders
@@ -100,19 +100,22 @@ def time_training_steps(
     results = []
     for fused, model, optimizer, batch, times in arms:
         # profiled step kept out of the timing loop: hooks add overhead
-        with F.fused_ops(fused), profile() as prof:
+        with F.fused_ops(fused), op_profile() as prof:
             loss = _training_step(model, optimizer, batch)
+        taped = [
+            {"op": op, "tape_nodes": row["tape_nodes"], "backward_seconds": row["backward_seconds"]}
+            for op, row in prof.per_op().items()
+            if row["tape_nodes"] or row["backward_calls"]
+        ]
+        taped.sort(key=lambda r: (-r["backward_seconds"], -r["tape_nodes"]))
         results.append(
             {
                 "seconds_per_step": float(np.median(times)),
                 "seconds_per_step_mean": float(np.mean(times)),
                 "steps_timed": repeats,
-                "tape_nodes_per_step": prof.total_nodes,
+                "tape_nodes_per_step": prof.taped_nodes,
                 "backward_seconds": prof.total_backward_seconds,
-                "top_ops": [
-                    {"op": op, "tape_nodes": count, "backward_seconds": seconds}
-                    for op, count, seconds in prof.top_ops(10)
-                ],
+                "top_ops": taped[:10],
                 "final_loss": loss,
             }
         )

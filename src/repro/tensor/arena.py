@@ -27,9 +27,10 @@ under :func:`repro.analysis.alias.alias_guard` — checked at runtime):
   sanitizer stamps each checkout with a generation and reports exactly
   that, with a poison fill making even unchecked reads loud.
 
-The ownership hooks follow the engine-sanitizer pattern: a single
-``_alias_hook`` slot that is ``None`` in production, so the hot path pays
-one ``is not None`` test per checkout and nothing else.
+Checkouts and releases report to the engine's one observer slot
+(:func:`repro.tensor.tensor.observe`), the same slot the profiler and the
+sanitizers use.  It is ``None`` in production, so the hot path pays one
+``is not None`` test per checkout and nothing else.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.tensor import tensor as _engine
 
 
 class BufferArena:
@@ -58,18 +61,6 @@ class BufferArena:
         #: most bytes ever pinned at once (survives clear(); memory gauges
         #: report it as the arena's high-water mark)
         self.high_water_bytes = 0
-        #: ownership sanitizer (repro.analysis.alias); None = zero-overhead
-        self._alias_hook = None
-
-    def set_alias_hook(self, hook):
-        """Install (or clear, with None) the ownership sanitizer hook.
-
-        Returns the previous hook so nested guards can restore it (same
-        contract as the engine's ``set_sanitizer``).
-        """
-        previous = self._alias_hook
-        self._alias_hook = hook
-        return previous
 
     def get(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Check out an uninitialised (shape, dtype) buffer for ``tag``.
@@ -82,8 +73,8 @@ class BufferArena:
         buf = self._slots.get(key)
         if buf is not None:
             self.hits += 1
-            if self._alias_hook is not None:
-                self._alias_hook.on_arena_checkout(key, buf)
+            if _engine._OBSERVER is not None:
+                _engine._OBSERVER.on_arena_checkout(key, buf)
             return buf
         geometry = key[:2]
         seen = self._geometry_dtypes.setdefault(geometry, set())
@@ -101,8 +92,8 @@ class BufferArena:
         self._nbytes += buf.nbytes
         if self._nbytes > self.high_water_bytes:
             self.high_water_bytes = self._nbytes
-        if self._alias_hook is not None:
-            self._alias_hook.on_arena_checkout(key, buf)
+        if _engine._OBSERVER is not None:
+            _engine._OBSERVER.on_arena_checkout(key, buf)
         return buf
 
     def release(self, prefix: Optional[str] = None) -> int:
@@ -110,21 +101,21 @@ class BufferArena:
 
         The buffers stay allocated (the next :meth:`get` re-checks them
         out — that *is* the designed reuse), but any array handle held
-        from before the release is now stale.  With no sanitizer attached
+        from before the release is now stale.  With no observer attached
         this is free: ownership is a debug-mode contract, not a hot-path
         cost.  Under :func:`repro.analysis.alias.alias_guard` each
         released buffer is poison-filled and registered so a later read
         through the engine is reported as a use-after-release.
 
-        Returns the number of slots released (0 when no sanitizer is on).
+        Returns the number of slots released (0 when no observer is on).
         """
-        hook = self._alias_hook
-        if hook is None:
+        observer = _engine._OBSERVER
+        if observer is None:
             return 0
         count = 0
         for key, buf in self._slots.items():
             if prefix is None or key[0].startswith(prefix):
-                hook.on_arena_release(key, buf)
+                observer.on_arena_release(key, buf)
                 count += 1
         return count
 

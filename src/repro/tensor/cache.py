@@ -24,7 +24,9 @@ forward that shares the plan.  Writes that sneak past the flag (a
 ``setflags(write=True)`` re-arm, a mutation through a writeable base) are
 caught by the ownership sanitizer's fingerprint check
 (:mod:`repro.analysis.alias`), which verifies every cached array on each
-access and again when the guard exits.
+access and again when the guard exits.  Inserts, accesses and evictions
+report to the engine's one observer slot (``None`` in production: one
+``is not None`` test each).
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Iterator, Optional
 
 import numpy as np
+
+from repro.tensor import tensor as _engine
 
 
 def iter_plan_arrays(value) -> Iterator[np.ndarray]:
@@ -65,17 +69,6 @@ class PlanCache:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: ownership sanitizer (repro.analysis.alias); None = zero-overhead
-        self._alias_hook = None
-
-    def set_alias_hook(self, hook):
-        """Install (or clear, with None) the ownership sanitizer hook.
-
-        Returns the previous hook so nested guards can restore it.
-        """
-        previous = self._alias_hook
-        self._alias_hook = hook
-        return previous
 
     def get(self, key: Hashable, builder: Callable[[], object]):
         """Return the cached plan for ``key``, building it on first use.
@@ -91,19 +84,20 @@ class PlanCache:
             pass
         else:
             self.hits += 1
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_access(key, value)
+            if _engine._OBSERVER is not None:
+                _engine._OBSERVER.on_plan_access(key, value)
             return value
         self.misses += 1
         value = builder()
         _freeze_plan(value)
+        observer = _engine._OBSERVER
         if len(self._entries) >= self.maxsize:
             evicted_key, evicted = self._entries.popitem(last=False)  # FIFO
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_evict(evicted_key, evicted)
+            if observer is not None:
+                observer.on_plan_evict(evicted_key, evicted)
         self._entries[key] = value
-        if self._alias_hook is not None:
-            self._alias_hook.on_plan_insert(key, value)
+        if observer is not None:
+            observer.on_plan_insert(key, value)
         return value
 
     def invalidate(self, prefix: Optional[str] = None) -> int:
@@ -118,10 +112,11 @@ class PlanCache:
                 key for key in self._entries
                 if isinstance(key, tuple) and key and key[0] == prefix
             ]
+        observer = _engine._OBSERVER
         for key in doomed:
             value = self._entries.pop(key)
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_evict(key, value)
+            if observer is not None:
+                observer.on_plan_evict(key, value)
         return len(doomed)
 
     def stats(self) -> Dict[str, int]:

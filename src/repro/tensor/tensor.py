@@ -11,7 +11,6 @@ summed over the broadcast axes (see :func:`unbroadcast`).
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,66 +31,111 @@ _DEFAULT_DTYPE = np.dtype(np.float64)
 
 # Monotonic count of tape nodes ever recorded by Tensor._make.  Tests use
 # deltas of tape_node_count() to assert that inference_mode() records
-# exactly zero nodes; repro.perf's hook-based profiler stays the tool for
+# exactly zero nodes; the profiler (an Observer) stays the tool for
 # per-op attribution.
 _TAPE_NODES = 0
 
-# Profiling hooks (installed by repro.perf; None = zero-overhead fast path).
-# _TAPE_HOOK is called with the op name every time a tape node is recorded;
-# _BACKWARD_HOOK is called with (op name, seconds) after each node's backward.
-# _OP_HOOK is called with (op, out_data, taped) on *every* op output — taped
-# or not — so the op-level profiler sees inference-mode forwards too.
-_TAPE_HOOK: Optional[Callable[[str], None]] = None
-_BACKWARD_HOOK: Optional[Callable[[str, float], None]] = None
-_OP_HOOK: Optional[Callable[[str, np.ndarray, bool], None]] = None
 
-# Runtime sanitizer (installed by repro.analysis.sanitizer.sanitize; None =
-# zero-overhead fast path).  Checks every tape-node creation and every
-# gradient accumulation for NaN/Inf, dtype drift, and broadcast surprises.
-_SANITIZER = None
+class Observer:
+    """An engine instrument: every method is a no-op hook to override.
 
-
-def set_sanitizer(sanitizer):
-    """Install (or clear, with None) the engine-level runtime sanitizer.
-
-    Returns the previous sanitizer so nested ``sanitize()`` blocks can
-    restore it.
+    The engine holds at most one observer in a single slot (``None`` =
+    the zero-overhead fast path: each hook site pays one ``is not None``
+    test).  The profiler, both sanitizers and the contract tracer are
+    observers; :func:`observe` installs one for a block.
     """
-    global _SANITIZER
-    previous = _SANITIZER
-    _SANITIZER = sanitizer
-    return previous
+
+    def on_op(self, op: str, data, parents: tuple, taped: bool) -> None:
+        """An op output, taped or not.  ``data`` is the raw result before
+        the Tensor cast (an ndarray, or a numpy scalar from 0-d math)."""
+
+    def on_grad(self, op: str, grad: np.ndarray) -> None:
+        """A gradient about to accumulate into the output of ``op``."""
+
+    def on_backward(self, op: str) -> None:
+        """The backward closure of an ``op`` node is about to run."""
+
+    def on_backward_done(self, op: str) -> None:
+        """The backward closure of an ``op`` node returned."""
+
+    def on_arena_checkout(self, key: tuple, buf: np.ndarray) -> None:
+        """A :class:`~repro.tensor.arena.BufferArena` slot was checked out."""
+
+    def on_arena_release(self, key: tuple, buf: np.ndarray) -> None:
+        """An arena slot's checkout ended."""
+
+    def on_plan_insert(self, key, value) -> None:
+        """A :class:`~repro.tensor.cache.PlanCache` entry was built."""
+
+    def on_plan_access(self, key, value) -> None:
+        """A cached plan was served."""
+
+    def on_plan_evict(self, key, value) -> None:
+        """A cached plan was dropped."""
 
 
-def get_sanitizer():
-    """The currently installed sanitizer, or None when disabled."""
-    return _SANITIZER
+class _FanOut(Observer):
+    """Two observers in the one slot; the newer one hears each event first."""
+
+    def __init__(self, newer: Observer, older: Observer) -> None:
+        self.observers = (newer, older)
+
+    def on_op(self, op, data, parents, taped):
+        for observer in self.observers:
+            observer.on_op(op, data, parents, taped)
+
+    def on_grad(self, op, grad):
+        for observer in self.observers:
+            observer.on_grad(op, grad)
+
+    def on_backward(self, op):
+        for observer in self.observers:
+            observer.on_backward(op)
+
+    def on_backward_done(self, op):
+        for observer in self.observers:
+            observer.on_backward_done(op)
+
+    def on_arena_checkout(self, key, buf):
+        for observer in self.observers:
+            observer.on_arena_checkout(key, buf)
+
+    def on_arena_release(self, key, buf):
+        for observer in self.observers:
+            observer.on_arena_release(key, buf)
+
+    def on_plan_insert(self, key, value):
+        for observer in self.observers:
+            observer.on_plan_insert(key, value)
+
+    def on_plan_access(self, key, value):
+        for observer in self.observers:
+            observer.on_plan_access(key, value)
+
+    def on_plan_evict(self, key, value):
+        for observer in self.observers:
+            observer.on_plan_evict(key, value)
 
 
-def set_profile_hooks(
-    tape_hook: Optional[Callable[[str], None]] = None,
-    backward_hook: Optional[Callable[[str, float], None]] = None,
-) -> None:
-    """Install (or clear, with None) the engine-level profiling hooks."""
-    global _TAPE_HOOK, _BACKWARD_HOOK
-    _TAPE_HOOK = tape_hook
-    _BACKWARD_HOOK = backward_hook
+# The one instrumentation slot: None, an Observer, or a _FanOut of several.
+_OBSERVER: Optional[Observer] = None
 
 
-def set_op_hook(
-    hook: Optional[Callable[[str, np.ndarray, bool], None]],
-) -> Optional[Callable[[str, np.ndarray, bool], None]]:
-    """Install (or clear, with None) the engine-level op hook.
+@contextlib.contextmanager
+def observe(observer: Observer):
+    """Subscribe ``observer`` to the engine for the enclosed block.
 
-    The hook fires on every :meth:`Tensor._make` call — including
-    inference-mode forwards that record zero tape nodes — with
-    ``(op, out_data, taped)``.  Returns the previous hook so nested
-    profiling scopes can restore it (same pattern as the sanitizer).
+    Nests: an observer installed while another is active shares the slot
+    with it (a fan-out, newest first).  The previous slot is restored on
+    exit, also when the body raises.
     """
-    global _OP_HOOK
-    previous = _OP_HOOK
-    _OP_HOOK = hook
-    return previous
+    global _OBSERVER
+    previous = _OBSERVER
+    _OBSERVER = observer if previous is None else _FanOut(observer, previous)
+    try:
+        yield observer
+    finally:
+        _OBSERVER = previous
 
 
 def is_grad_enabled() -> bool:
@@ -130,7 +174,7 @@ def inference_mode():
     The *outermost* exit is an ownership boundary: every arena checkout is
     released, so an array that leaked out of the block is flagged as a
     use-after-release by the alias sanitizer on its next engine use
-    (:mod:`repro.analysis.alias`).  With no sanitizer installed the
+    (:mod:`repro.analysis.alias`).  With no observer installed the
     release is a single attribute test — the fast path stays free.
     """
     global _GRAD_ENABLED, _INFERENCE_MODE
@@ -311,9 +355,13 @@ class Tensor:
         data: np.ndarray,
         parents: Iterable["Tensor"],
         op: str,
-        backward: Callable[[np.ndarray], None],
+        backward: Optional[Callable[[np.ndarray], None]],
     ) -> "Tensor":
-        """Build an op output, wiring the tape only when grad is enabled."""
+        """Build an op output, wiring the tape only when grad is enabled.
+
+        A tape-free kernel, which runs only with grad disabled, passes
+        ``backward=None``: its output still reaches the observer slot.
+        """
         parents = tuple(parents)
         needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
@@ -323,14 +371,10 @@ class Tensor:
             out._parents = parents
             out._op = op
             out._backward = backward
-            if _TAPE_HOOK is not None:
-                _TAPE_HOOK(op)
-        if _OP_HOOK is not None:
-            _OP_HOOK(op, data, needs_grad)
-        if _SANITIZER is not None:
-            # check the raw op output: Tensor.__init__ silently casts to
-            # float64, which would hide dtype drift from the sanitizer
-            _SANITIZER.check_forward(op, data, parents)
+        if _OBSERVER is not None:
+            # the raw op output: Tensor.__init__ casts to the compute dtype,
+            # which would hide dtype drift from the sanitizer
+            _OBSERVER.on_op(op, data, parents, needs_grad)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -344,8 +388,8 @@ class Tensor:
         re-accumulation allocates and every later one is in place.
         """
         incoming = np.asarray(grad)
-        if _SANITIZER is not None:
-            _SANITIZER.check_grad(self._op or "leaf", incoming)
+        if _OBSERVER is not None:
+            _OBSERVER.on_grad(self._op or "leaf", incoming)
         g = incoming if incoming.dtype == self.data.dtype else incoming.astype(self.data.dtype)
         g = unbroadcast(g, self.data.shape)
         if self.grad is None:
@@ -410,8 +454,7 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(seed)
-        hook = _BACKWARD_HOOK
-        sanitizer = _SANITIZER
+        observer = _OBSERVER
         # Popping (not iterating) leaves ``topo`` without a reference to a
         # node once it is processed; releasing its closure and parents then
         # frees every saved activation nothing else holds.
@@ -421,22 +464,18 @@ class Tensor:
             if backward is None:
                 continue  # a leaf: its grad is the result
             if node.grad is not None:
-                if sanitizer is not None:
-                    # lets the sanitizer attribute a bad gradient to the op
-                    # whose backward closure manufactured it
-                    sanitizer.current_producer = node._op
-                if hook is None:
+                if observer is None:
                     backward(node.grad)
                 else:
-                    start = perf_counter()
+                    # brackets the closure: the profiler times it, the
+                    # sanitizer names it as the producer of a bad gradient
+                    observer.on_backward(node._op)
                     backward(node.grad)
-                    hook(node._op, perf_counter() - start)
+                    observer.on_backward_done(node._op)
             node._backward = None
             node._parents = ()
             node.grad = None
             node._grad_owned = False
-        if sanitizer is not None:
-            sanitizer.current_producer = None
 
     # ------------------------------------------------------------------
     # arithmetic — implemented here, richer ops live in functional.py

@@ -47,7 +47,7 @@ from repro.core.flow import set_flow_anomaly_hook
 from repro.data.windows import DataLoader
 from repro.obs import ConsoleSink, RunLogger
 from repro.optim import Adam, EarlyStopping, clip_grad_norm, global_grad_norm
-from repro.perf import profile as op_profile
+from repro.perf import op_profile
 from repro.tensor import Tensor, inference_mode
 from repro.tensor.random import generator_state
 from repro.training import metrics as M
@@ -292,8 +292,9 @@ class Trainer:
                             n_samples += len(batch[0])
                             with log.span("batch"):
                                 if batch_index == 0 and log.enabled:
-                                    # bridge op-level tape counts into the
-                                    # metric registry once per epoch
+                                    # bridge the op profile (forward and
+                                    # backward per op) into the run log
+                                    # once per epoch
                                     with op_profile() as prof:
                                         value, norm = self._run_batch(batch, train=True)
                                     log.record_op_profile(prof)

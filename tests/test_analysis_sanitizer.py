@@ -8,13 +8,15 @@ previous hook; and disabled mode leaves the engine untouched.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import TensorSanitizerError, sanitize
 from repro.core import NormalizingFlow
 from repro.obs import MemorySink, RunLogger
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, inference_mode
 from repro.tensor import tensor as engine
 
 RNG = np.random.default_rng(99)
@@ -122,12 +124,14 @@ class TestFlowHeadInjection:
         assert events[0]["op"] == first.op
         assert "stack" in events[0]
 
-    def test_fused_scan_reports_first_bad_timestep(self):
+    @pytest.mark.parametrize("mode", ["taped", "inference"])
+    def test_fused_scan_reports_first_bad_timestep(self, mode):
         xp = np.zeros((2, 6, 9))
         # column 7 lands in the candidate gate (tanh), where a NaN survives;
         # sigmoid-gate columns would saturate an Inf away silently
         xp[1, 4, 7] = np.nan
-        with sanitize(raise_on_error=False) as san:
+        scope = inference_mode() if mode == "inference" else contextlib.nullcontext()
+        with sanitize(raise_on_error=False) as san, scope:
             F.gru_sequence(
                 Tensor(xp, requires_grad=True),
                 Tensor(np.zeros((2, 3))),
@@ -143,18 +147,21 @@ class TestFlowHeadInjection:
 
 class TestLifecycle:
     def test_nesting_restores_previous_sanitizer(self):
-        assert engine.get_sanitizer() is None
+        assert engine._OBSERVER is None
         with sanitize(raise_on_error=False) as outer:
             with sanitize(raise_on_error=False) as inner:
-                assert engine.get_sanitizer() is inner
-            assert engine.get_sanitizer() is outer
-        assert engine.get_sanitizer() is None
+                # both share the one slot: each sees the op
+                assert engine._OBSERVER.observers == (inner, outer)
+                Tensor(np.array([np.nan]), requires_grad=True) * 2.0
+            assert engine._OBSERVER is outer
+        assert engine._OBSERVER is None
+        assert len(inner.findings) == len(outer.findings) == 1
 
     def test_hook_restored_when_body_raises(self):
         with pytest.raises(TensorSanitizerError):
             with sanitize():
                 Tensor(np.array([-1.0]), requires_grad=True).log()
-        assert engine.get_sanitizer() is None
+        assert engine._OBSERVER is None
 
     def test_max_findings_caps_collection(self):
         with sanitize(raise_on_error=False, max_findings=2) as san:

@@ -135,6 +135,58 @@ class TestZeroTapeNodes:
             assert tape_node_count() == before
 
 
+def _op_calls(prof, op: str) -> int:
+    return prof.per_op().get(op, {}).get("calls", 0)
+
+
+@pytest.mark.inference
+class TestTapeFreeKernelsAreProfiled:
+    """The tape-free scans report to the observer slot like the taped ones."""
+
+    def test_float32_predict_shows_every_gru_scan(self):
+        from repro.perf import op_profile
+        from repro.perf.bench import canonical_settings
+        from repro.perf.bench_inference import _model_and_batch
+
+        model, batch = _model_and_batch("conformer", canonical_settings())
+        inputs = batch[:4]
+        with op_profile() as taped:
+            model(*(Tensor(a) for a in inputs))
+        model.to_dtype(np.float32)
+        with compute_dtype(np.float32), op_profile() as prof:
+            model.predict(*(a.astype(np.float32) for a in inputs))
+        assert _op_calls(taped, "gru_sequence") == 8
+        assert _op_calls(prof, "gru_sequence") == 8
+        assert prof.taped_nodes == 0
+
+    def test_lstm_inference_scan_is_profiled(self):
+        from repro.nn import LSTM
+        from repro.perf import op_profile
+
+        lstm = LSTM(3, 5, num_layers=2, rng=np.random.default_rng(0))
+        x = Tensor(RNG.normal(size=(2, 7, 3)))
+        with op_profile() as taped:
+            lstm(x)
+        with inference_mode(), op_profile() as prof:
+            lstm(x)
+        assert _op_calls(prof, "lstm_sequence") == _op_calls(taped, "lstm_sequence") == 2
+
+    def test_autoformer_inference_aggregation_is_profiled(self):
+        from repro.nn.attention import AutoCorrelation
+        from repro.perf import op_profile
+        from repro.perf.bench_inference import _model_and_batch
+
+        model, batch = _model_and_batch("autoformer", _smoke_settings())
+        mechanisms = {
+            name for name, module in model.named_modules() if isinstance(module, AutoCorrelation)
+        }
+        with inference_mode(), op_profile(model) as prof:
+            model(*(Tensor(a) for a in batch[:4]))
+        rows = [r for r in prof.rows() if r["op"] == "autocorr_aggregate"]
+        assert {r["module"] for r in rows} == mechanisms
+        assert sum(r["calls"] for r in rows) == len(mechanisms)
+
+
 @pytest.mark.inference
 class TestInferenceKernelParity:
     def test_gru_scan_matches_taped_kernel(self):

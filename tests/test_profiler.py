@@ -3,7 +3,7 @@
 Covers the ``repro.obs.profile`` surface end to end:
 
 - :func:`repro.perf.op_profile` — per-op wall-time/call/byte attribution,
-  dotted-``named_modules`` labelling, hook install/uninstall hygiene;
+  dotted-``named_modules`` labelling, observer install/uninstall hygiene;
 - memory accounting — live/peak bytes, tape-node pinning, and the
   inference fast path's zero-tape guarantee;
 - the ``op_profile`` run-log event → ``obs report`` / ``obs trace``
@@ -24,10 +24,9 @@ from repro.nn import Linear, Module
 from repro.obs import chrome_trace, load_jsonl, load_run, render_report, run_logger
 from repro.obs.trace import OP_TID, SPAN_TID, write_chrome_trace
 from repro.perf import op_profile
-from repro.perf.opprof import OP_PROFILE_SCHEMA
 from repro.tensor import Tensor, inference_mode
 from repro.tensor import tensor as tensor_mod
-from repro.tensor.profiler import ROOT_MODULE
+from repro.tensor.profiler import OP_PROFILE_SCHEMA, ROOT_MODULE
 
 RNG = np.random.default_rng(404)
 
@@ -57,7 +56,7 @@ class TestOpProfile:
             a = Tensor(RNG.normal(size=(8, 8)), requires_grad=True)
             b = Tensor(RNG.normal(size=(8, 8)), requires_grad=True)
             (a @ b).relu().sum()
-        per_op = prof.engine.per_op()
+        per_op = prof.per_op()
         assert per_op["matmul"]["calls"] == 1
         assert per_op["relu"]["calls"] == 1
         assert prof.total_calls >= 3
@@ -70,7 +69,7 @@ class TestOpProfile:
         model = TinyNet()
         with op_profile(model) as prof:
             _forward(model)
-        modules = prof.engine.per_module()
+        modules = prof.per_module()
         # each Linear is one linear op; relu in the root forward
         assert "fc1" in modules and "fc2" in modules
         labelled = {(r["module"], r["op"]) for r in prof.rows()}
@@ -89,12 +88,12 @@ class TestOpProfile:
         assert _forward(model).shape == (3, 2)
 
     def test_hook_uninstalls_cleanly_even_on_error(self):
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod._OBSERVER is None
         with pytest.raises(RuntimeError):
             with op_profile():
                 _forward()
                 raise RuntimeError("body failed")
-        assert tensor_mod._OP_HOOK is None, "op hook leaked after exception"
+        assert tensor_mod._OBSERVER is None, "observer slot leaked after exception"
 
     def test_nested_profiles_restore_outer_hook(self):
         with op_profile() as outer:
@@ -104,16 +103,16 @@ class TestOpProfile:
                 _forward()
             assert inner.total_calls > 0
             _forward()
-        # outer kept recording after the inner context restored its hook
+        # outer kept recording after the inner context restored the slot
         assert outer.total_calls > calls_before
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod._OBSERVER is None
 
     def test_timeline_capacity_bounds_events_not_aggregates(self):
         with op_profile(timeline_capacity=4) as prof:
             for _ in range(3):
                 _forward()
         assert len(prof.timeline()) == 4
-        assert prof.engine.dropped_events == prof.total_calls - 4
+        assert prof.dropped_events == prof.total_calls - 4
         assert prof.total_calls > 4  # aggregates saw every op
 
 
@@ -145,20 +144,39 @@ class TestMemoryAccounting:
     def test_live_bytes_drop_when_the_graph_is_freed(self):
         with op_profile() as prof:
             out = _forward()
-        assert prof.engine.live_bytes > 0
+        assert prof.live_bytes > 0
         del out
         gc.collect()
-        assert prof.engine.live_bytes == 0
+        assert prof.live_bytes == 0
         # cumulative counters are unaffected by frees
-        assert prof.engine.peak_bytes > 0
+        assert prof.peak_bytes > 0
         assert prof.total_bytes > 0
 
-    def test_track_live_false_skips_weakrefs(self):
-        with op_profile(track_live=False) as prof:
-            _forward()
-        assert prof.engine.live_bytes == 0
-        assert prof.engine.peak_bytes == 0
-        assert prof.total_bytes > 0
+    def test_scalar_outputs_are_profiled(self):
+        """Math on a 0-d tensor returns a numpy scalar, which cannot be
+        weakly referenced: it is counted, but not tracked as live."""
+        with op_profile() as prof:
+            (Tensor(np.ones(3), requires_grad=True).sum() * 2.0).backward()
+        per_op = prof.per_op()
+        assert per_op["mul"]["calls"] == 1
+        assert per_op["mul"]["backward_calls"] == 1
+        assert prof.taped_nodes == 2
+
+    def test_conformer_training_step_is_profiled(self):
+        from dataclasses import replace
+
+        from repro.perf.bench import _model_and_batch, _training_step
+        from repro.optim import Adam
+        from repro.training import PROFILES
+
+        settings = replace(PROFILES["tiny"], input_len=16, label_len=8, batch_size=4, n_points=300)
+        model, batch = _model_and_batch(settings)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        with op_profile(model) as prof:
+            _training_step(model, optimizer, batch)
+        per_op = prof.per_op()
+        assert per_op["gru_sequence"]["tape_nodes"] == per_op["gru_sequence"]["backward_calls"] > 0
+        assert prof.total_backward_seconds > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -172,21 +190,19 @@ class TestProfilerZeroOverheadWhenOff:
         ((x @ x).relu().sum()).backward()
 
     def _tape_nodes(self) -> int:
-        from repro.perf import profile
-
-        with profile() as prof:
-            self._work()
-        return prof.total_nodes
+        before = tensor_mod.tape_node_count()
+        self._work()
+        return tensor_mod.tape_node_count() - before
 
     def test_op_hook_is_none_by_default(self):
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod._OBSERVER is None
 
     def test_disabled_mode_records_identical_tape(self):
         baseline = self._tape_nodes()
         with op_profile() as prof:
-            self._work()  # profiled run — same graph, hook installed
+            self._work()  # profiled run — same graph, observer installed
         assert prof.total_calls > 0
-        assert tensor_mod._OP_HOOK is None, "op_profile() leaked its hook"
+        assert tensor_mod._OBSERVER is None, "op_profile() leaked its observer"
         assert self._tape_nodes() == baseline
 
     def test_profiler_does_not_perturb_op_outputs(self):
@@ -230,6 +246,34 @@ class TestRunLogIntegration:
         assert "op profile" in report
         assert "linear" in report
         assert "memory:" in report
+
+    def test_report_has_forward_and_backward_columns(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        logger = run_logger(jsonl_path=path)
+        with op_profile() as prof:
+            _forward().sum().backward()
+        logger.record_op_profile(prof)
+        logger.close()
+        report = render_report(load_run(path))
+        header = next(line for line in report.splitlines() if "fwd s" in line)
+        assert "bwd s" in header and "nodes" in header
+        linear = next(line for line in report.splitlines() if line.strip().startswith("linear"))
+        # two linear calls, two tape nodes, and a timed backward column
+        assert linear.split()[1] == "2" and linear.split()[4] == "2"
+
+    def test_old_layout_event_renders_without_op_table(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        legacy = {
+            "ts": 0.0,
+            "kind": "op_profile",
+            "total_tape_nodes": 3,
+            "total_backward_seconds": 0.1,
+            "per_op": {"matmul": {"tape_nodes": 1, "backward_seconds": 0.1, "backward_calls": 1}},
+        }
+        path.write_text(json.dumps(legacy) + "\n", encoding="utf-8")
+        report = render_report(load_run(path))
+        assert "layout has no per-op table" in report
+        assert "fwd s" not in report
 
     def test_memory_and_cache_gauges_reach_the_registry(self, tmp_path):
         path = _record_run(tmp_path, taped=False)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import Conformer, ConformerConfig
 from repro.nn import Linear
-from repro.tensor import Tensor, compute_dtype, functional as F, set_op_hook
+from repro.tensor import Observer, Tensor, compute_dtype, functional as F, observe
 from repro.tensor.gradcheck import gradcheck
 
 RNG = np.random.default_rng(2020)
@@ -29,14 +29,15 @@ def _tiny_conformer(flow_loss: str = "mse") -> Conformer:
     ))
 
 
-def _record_taped_outputs(taped):
-    """Op hook appending (op, weakref to its output array) for taped ops."""
+class _TapedOutputs(Observer):
+    """Records (op, weakref to its output array) for every taped op."""
 
-    def hook(op, data, is_taped):
-        if is_taped and isinstance(data, np.ndarray):
-            taped.append((op, weakref.ref(data)))
+    def __init__(self):
+        self.taped = []
 
-    return hook
+    def on_op(self, op, data, parents, taped):
+        if taped and isinstance(data, np.ndarray):
+            self.taped.append((op, weakref.ref(data)))
 
 
 def _batch(model: Conformer):
@@ -55,13 +56,10 @@ class TestBackwardReleasesTheTape:
         model = _tiny_conformer()
         model.train()
         inputs, target = _batch(model)
-        taped = []
-        previous = set_op_hook(_record_taped_outputs(taped))
-        try:
+        with observe(_TapedOutputs()) as census:
             outputs = model(*inputs)
             loss = model.compute_loss(outputs, target)
-        finally:
-            set_op_hook(previous)
+        taped = census.taped
         flow_in = outputs[2]
         assert all(isinstance(t, Tensor) for t in flow_in)
         assert taped[0][1]() is not None
@@ -86,12 +84,9 @@ class TestBackwardReleasesTheTape:
         slice, including the hidden states of layers the flow does not read."""
         model = _tiny_conformer(flow_loss=flow_loss)
         inputs, target = _batch(model)
-        taped = []
-        previous = set_op_hook(_record_taped_outputs(taped))
-        try:
+        with observe(_TapedOutputs()) as census:
             loss = model.compute_loss(model(*inputs), target)
-        finally:
-            set_op_hook(previous)
+        taped = census.taped
         assert {"gru_sequence", "getitem"} <= {op for op, _ in taped}
 
         loss.backward()
@@ -181,11 +176,13 @@ class TestLinear:
         w = Tensor(np.ones((3, 2), dtype=np.float32))
         b = Tensor(np.ones(2))  # float64
         seen = []
-        previous = set_op_hook(lambda op, data, taped: seen.append((op, data.dtype)))
-        try:
+
+        class Dtypes(Observer):
+            def on_op(self, op, data, parents, taped):
+                seen.append((op, data.dtype))
+
+        with observe(Dtypes()):
             F.linear(x, w, b)
-        finally:
-            set_op_hook(previous)
         assert seen == [("linear", np.dtype(np.float64))]
 
 
